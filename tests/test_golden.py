@@ -1,0 +1,104 @@
+"""Golden digests: pin RunResults and config identities across versions.
+
+Each case's full ``RunResult`` (records, stationary fraction, total cost,
+termination, cycle period, final-grid bytes) is reduced to a blake2b digest
+and compared with ``golden/runs.json``; the bundled ``configs/*.yaml`` pin
+their ``config_hash`` and emitted YAML in ``golden/configs.json``. A change
+to any digest is a behaviour change. Re-record (only for an intended one)
+with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import struct
+from pathlib import Path
+
+import pytest
+
+from latticecoop.config import config_hash, emit_config, load_config
+from latticecoop.dynamics import Deterministic, Fermi
+from latticecoop.engine import RunConfig, RunResult, run
+from latticecoop.game import PayoffParams
+from latticecoop.interference import Neb, NebI, NebII, NoInterference, Pop
+
+GOLDEN = Path(__file__).parent / "golden"
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+SCHEMES = {
+    "none": NoInterference(),
+    "pop": Pop(p_c=0.6, theta=2.0),
+    "neb": Neb(n_c=3, theta=3.0),
+    "neb_i": NebI(eps=0.5),
+    "neb_ii": NebII(eps=0.5),
+}
+RULES = {"det": Deterministic(), "fermi": Fermi(K=0.3), "fermi_mu": Fermi(K=0.3, mu=0.01)}
+
+
+def _cases() -> dict[str, RunConfig]:
+    cases = {}
+    for scheme_name, scheme in SCHEMES.items():
+        for rule_name, rule in RULES.items():
+            # mutation only at the reference temptation, to keep the suite small
+            for b in (1.8,) if rule_name == "fermi_mu" else (1.5, 1.8, 2.0):
+                cases[f"{scheme_name}-{rule_name}-b{b}"] = RunConfig(
+                    side_length=30,
+                    payoff=PayoffParams(b=b),
+                    scheme=scheme,
+                    rule=rule,
+                    generations=60,
+                    measure_window=20,
+                    seed=2021,
+                )
+    return cases
+
+
+def result_digest(result: RunResult) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for rec in result.records:
+        h.update(struct.pack("<qqdd", rec.generation, rec.coop_count,
+                             rec.generation_cost, rec.cumulative_cost))
+    h.update(struct.pack("<dd", result.stationary_coop_fraction, result.total_cost))
+    h.update(f"{result.termination.value}|{result.cycle_period}|".encode())
+    h.update(result.final_grid.side_length.to_bytes(8, "little"))
+    h.update(result.final_grid.cells.tobytes())
+    return h.hexdigest()
+
+
+def config_record(path: Path) -> dict[str, str]:
+    config = load_config(path)
+    emitted = emit_config(config).encode()
+    return {"config_hash": config_hash(config),
+            "emitted_yaml_blake2b": hashlib.blake2b(emitted, digest_size=16).hexdigest()}
+
+
+def _load(name: str) -> dict:
+    return json.loads((GOLDEN / name).read_text())
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_result_digest(case):
+    assert result_digest(run(CASES[case])) == _load("runs.json")[case]
+
+
+def test_golden_covers_every_case():
+    assert sorted(_load("runs.json")) == sorted(CASES)
+    assert sorted(_load("configs.json")) == sorted(p.name for p in CONFIGS.glob("*.yaml"))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+def test_config_hash_and_emitted_yaml(name):
+    assert config_record(CONFIGS / name) == _load("configs.json")[name]
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    runs = {case: result_digest(run(cfg)) for case, cfg in sorted(CASES.items())}
+    configs = {p.name: config_record(p) for p in sorted(CONFIGS.glob("*.yaml"))}
+    for name, data in (("runs.json", runs), ("configs.json", configs)):
+        (GOLDEN / name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(runs)} run digests and {len(configs)} config records in {GOLDEN}")
