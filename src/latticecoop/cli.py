@@ -84,9 +84,16 @@ def cmd_run(args) -> int:
         config.run_config(), config.replicates, config.base_seed, workers=args.workers
     )
     labelled = [(f"rep{i:03d}", result) for i, result in enumerate(results)]
-    write_metrics_csv(run_dir / "metrics.csv", labelled)
+    # Data files are written under .incomplete names and renamed only once all
+    # of them are written, so an aborted run leaves nothing that looks final.
+    partials = [run_dir / "metrics.csv.incomplete"]
+    write_metrics_csv(partials[0], labelled)
     for run_id, result in labelled:
-        (run_dir / f"final_grid_{run_id}.txt").write_text(format_snapshot(result.final_grid))
+        partials.append(run_dir / f"final_grid_{run_id}.txt.incomplete")
+        partials[-1].write_text(format_snapshot(result.final_grid))
+    for partial in partials:
+        partial.replace(partial.with_suffix(""))
+    for run_id, result in labelled:
         print(
             f"{run_id}: coop={result.stationary_coop_fraction} "
             f"total_cost={result.total_cost} termination={result.termination.value}"

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .game import ScoreField
-from .grid import Grid, Strategy, neighbour_field
+from .grid import Grid, best_of, neighbour_field, where_cells, wrap_pad
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,8 @@ def step_deterministic(g: Grid, scores: ScoreField) -> Grid:
     plus its four neighbours; ties prefer self, then the fixed N, E, S, W
     order. Pure function of (g, scores).
     """
-    score_stack = np.concatenate((scores[None], neighbour_field(scores)))
-    strat_stack = np.concatenate((g.cells[None], neighbour_field(g.cells)))
-    best = score_stack.argmax(axis=0)  # first max: self before N, E, S, W
-    return Grid(np.take_along_axis(strat_stack, best[None], axis=0)[0])
+    _, best = best_of((scores, *neighbour_field(scores)), (g.cells, *g.neighbour_cells))
+    return Grid(best)
 
 
 def step_fermi(g: Grid, scores: ScoreField, rule: Fermi, rng: np.random.Generator) -> Grid:
@@ -83,20 +81,23 @@ def step_fermi(g: Grid, scores: ScoreField, rule: Fermi, rng: np.random.Generato
     """
     length = g.side_length
     draws = rng.random((g.size, 3))
-    u_mut = draws[:, 0].reshape(length, length)
-    u_nbr = draws[:, 1].reshape(length, length)
-    u_acc = draws[:, 2].reshape(length, length)
+    u_mut, u_nbr, u_acc = draws.T.reshape(3, length, length)
 
-    pick = (u_nbr * 4.0).astype(np.int64)  # in 0..3 since u < 1
-    nbr_strat = np.take_along_axis(neighbour_field(g.cells), pick[None], axis=0)[0]
-    nbr_score = np.take_along_axis(neighbour_field(scores), pick[None], axis=0)[0]
+    # Flat index of each agent's chosen neighbour in the wrap-padded arrays,
+    # whose rows are L + 2 long: N, E, S, W sit at -(L+2), +1, +(L+2), -1.
+    stride = length + 2
+    pick = (u_nbr * 4.0).astype(np.intp)  # in 0..3 since u < 1
+    nbr = np.array((-stride, 1, stride, -1))[pick]
+    nbr += np.arange(stride * stride).reshape(stride, stride)[1:-1, 1:-1]
+    nbr_strat = wrap_pad(g.cells).take(nbr)
+    nbr_score = wrap_pad(scores).take(nbr)
 
     accept = u_acc < expit((nbr_score - scores) / rule.K)
-    next_cells = np.where(accept, nbr_strat, g.cells)
+    next_cells = where_cells(accept, nbr_strat, g.cells)
 
     if rule.mu > 0.0:
-        mutated = np.where(u_mut < rule.mu / 2.0, Strategy.C.value, Strategy.D.value)
-        next_cells = np.where(u_mut < rule.mu, mutated, next_cells)
+        # a mutant becomes C (1) when u_m < mu / 2, else D (0)
+        np.copyto(next_cells, u_mut < rule.mu / 2.0, where=u_mut < rule.mu)
     return Grid(next_cells)
 
 

@@ -89,10 +89,8 @@ class RunResult:
 
 def is_homogeneous(g: Grid) -> Strategy | None:
     """The common strategy if every cell is equal, else None."""
-    first = g.cells.flat[0]
-    if np.all(g.cells == first):
-        return Strategy(int(first))
-    return None
+    x_c = coop_count(g)
+    return Strategy.C if x_c == g.size else Strategy.D if x_c == 0 else None
 
 
 def step_generation(
@@ -114,15 +112,6 @@ def step_generation(
     return step(g, base + outcome.surplus, rule, rng), outcome.generation_cost
 
 
-def _early_stop_applies(config: RunConfig) -> bool:
-    # Homogeneity is absorbing only without mutation.
-    if not config.early_stop_on_homogeneous:
-        return False
-    if isinstance(config.rule, Fermi):
-        return config.rule.mu == 0.0
-    return True
-
-
 def run(config: RunConfig) -> RunResult:
     """Execute one seeded run; see the module docstring for the protocol."""
     rng = np.random.default_rng(config.seed)
@@ -134,7 +123,9 @@ def run(config: RunConfig) -> RunResult:
     )
 
     deterministic = isinstance(config.rule, Deterministic)
-    stop_when_homogeneous = _early_stop_applies(config)
+    # Homogeneity is absorbing only without mutation.
+    mutates = isinstance(config.rule, Fermi) and config.rule.mu > 0.0
+    stop_when_homogeneous = config.early_stop_on_homogeneous and not mutates
     total_generations = config.generations + config.measure_window
 
     records: list[GenerationRecord] = []
@@ -142,17 +133,15 @@ def run(config: RunConfig) -> RunResult:
     termination = Termination.COMPLETED
     cycle_period: int | None = None
     cycle_start: int | None = None
-    # digest -> [(generation, cell bytes)]; bytes verified on digest match so
-    # a 64-bit collision can never fake a cycle.
+    # digest -> [(generation, bit-packed cells)]; cells compared on digest match
+    # so a 64-bit collision can never fake a cycle (L is fixed within a run).
     seen: dict[int, list[tuple[int, bytes]]] = {}
 
     for generation in range(total_generations):
         if deterministic:
             digest = grid_hash(g)
-            state = g.cells.tobytes()
-            match = next(
-                (gen for gen, cells in seen.get(digest, ()) if cells == state), None
-            )
+            state = np.packbits(g.cells).tobytes()
+            match = next((gen for gen, cells in seen.get(digest, ()) if cells == state), None)
             if match is not None:
                 termination = Termination.CYCLE_DETECTED
                 cycle_start = match
@@ -160,19 +149,16 @@ def run(config: RunConfig) -> RunResult:
                 break
             seen.setdefault(digest, []).append((generation, state))
 
-        homogeneous = is_homogeneous(g)
-        if homogeneous is not None and stop_when_homogeneous:
-            records.append(GenerationRecord(generation, coop_count(g), 0.0, cumulative))
-            termination = (
-                Termination.HOMOGENEOUS_C
-                if homogeneous == Strategy.C
-                else Termination.HOMOGENEOUS_D
-            )
+        # A grid is homogeneous exactly when it holds 0 or Z cooperators.
+        x_c = coop_count(g)
+        if stop_when_homogeneous and x_c in (0, g.size):
+            records.append(GenerationRecord(generation, x_c, 0.0, cumulative))
+            termination = Termination.HOMOGENEOUS_C if x_c else Termination.HOMOGENEOUS_D
             break
 
         next_grid, cost = step_generation(g, config.payoff, config.scheme, config.rule, rng)
         cumulative += cost
-        records.append(GenerationRecord(generation, coop_count(g), cost, cumulative))
+        records.append(GenerationRecord(generation, x_c, cost, cumulative))
         g = next_grid
 
     stationary = _stationary_fraction(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, Strategy, neighbour_field
+from .grid import Grid, Strategy
 
 # Score of one agent per generation is the sum over 4 encounters.
 REWARD = 1.0
@@ -54,9 +54,9 @@ def compute_scores(g: Grid, params: PayoffParams) -> ScoreField:
     Pure function of (grid, params); no interference surplus included and no
     self-interaction. A defector with k cooperating neighbours scores k*b +
     (4-k)*P, a cooperator with k cooperating neighbours scores exactly k.
+    These ten values are looked up in a table indexed by 5 * strategy + k.
     """
-    coop = g.cells  # already 1 for C, 0 for D
-    n_coop = neighbour_field(coop).sum(axis=0, dtype=np.int64)
-    coop_score = n_coop * REWARD + (4 - n_coop) * SUCKER
-    defect_score = n_coop * params.b + (4 - n_coop) * params.punishment
-    return np.where(coop == Strategy.C.value, coop_score, defect_score)
+    k = np.arange(5)
+    defect = k * params.b + (4 - k) * params.punishment
+    table = np.concatenate((defect, k * REWARD + (4 - k) * SUCKER))
+    return table.take(sum(g.neighbour_cells) + 5 * g.cells)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -46,11 +47,17 @@ class Grid:
             raise ValueError(f"grid cells must be a square 2-D array, got shape {cells.shape}")
         if cells.shape[0] < MIN_SIDE_LENGTH:
             raise ValueError(f"side length must be >= {MIN_SIDE_LENGTH}, got {cells.shape[0]}")
-        if not np.isin(cells, (Strategy.D.value, Strategy.C.value)).all():
+        unsigned = cells.dtype in (np.uint8, np.bool_)  # no negatives: max() <= 1 suffices
+        if not (cells.max() <= 1 if unsigned else np.isin(cells, (0, 1)).all()):
             raise ValueError("grid cells must contain only 0 (D) and 1 (C)")
         frozen = np.ascontiguousarray(cells, dtype=np.uint8).copy()
         frozen.setflags(write=False)
         object.__setattr__(self, "cells", frozen)
+
+    @cached_property
+    def neighbour_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """N, E, S, W neighbour strategies, built once and shared within a generation."""
+        return neighbour_field(self.cells)
 
     @property
     def side_length(self) -> int:
@@ -88,21 +95,42 @@ def neighbours(i: int, side_length: int) -> tuple[int, int, int, int]:
     return north, east, south, west
 
 
-def neighbour_field(values: np.ndarray) -> np.ndarray:
-    """Stack each cell's four neighbour values, shape (4, L, L), N/E/S/W order.
+def wrap_pad(values: np.ndarray) -> np.ndarray:
+    """(L+2, L+2) copy of ``values`` inside a one-cell halo that wraps the torus."""
+    length = values.shape[0]
+    padded = np.empty((length + 2, length + 2), dtype=values.dtype)
+    padded[1:-1, 1:-1] = values
+    padded[0], padded[-1] = padded[-2], padded[1]
+    padded[:, 0], padded[:, -1] = padded[:, -2], padded[:, 1]
+    return padded
 
-    ``out[k, r, c]`` is ``values`` at the k-th neighbour of cell (r, c) under
-    toroidal wrap-around. ``np.argmax`` over axis 0 of such a stack therefore
-    breaks ties in the documented N, E, S, W order.
+
+def neighbour_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's (N, E, S, W) neighbour values as read-only views of one wrap_pad copy.
+
+    ``north[r, c]`` is ``values[(r-1) % L, c]``; east, south, west likewise.
     """
-    return np.stack(
-        (
-            np.roll(values, 1, axis=0),   # north: value at (r-1, c)
-            np.roll(values, -1, axis=1),  # east:  value at (r, c+1)
-            np.roll(values, -1, axis=0),  # south: value at (r+1, c)
-            np.roll(values, 1, axis=1),   # west:  value at (r, c-1)
-        )
-    )
+    padded = wrap_pad(values)
+    padded.setflags(write=False)
+    return padded[:-2, 1:-1], padded[1:-1, 2:], padded[2:, 1:-1], padded[1:-1, :-2]
+
+
+def where_cells(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``np.where(mask, new, old)`` for 0/1 uint8 cells as bitwise ops (np.where is slow on bytes)."""
+    return old ^ ((old ^ new) & mask.view(np.uint8))
+
+
+def best_of(scores: tuple, strategies: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell: (highest candidate score, strategy of the first candidate with it).
+
+    A strict-``>`` running maximum in candidate order, so ties keep the
+    earliest candidate (the first max that ``argmax`` over a stack would pick).
+    """
+    best_score, best_strategy = scores[0], strategies[0]
+    for score, strategy in zip(scores[1:], strategies[1:]):
+        best_strategy = where_cells(score > best_score, strategy, best_strategy)
+        best_score = np.maximum(best_score, score)
+    return best_score, best_strategy
 
 
 def coop_count(g: Grid) -> int:

@@ -21,12 +21,13 @@ input, so the per-agent grants are order-independent and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Union
 
 import numpy as np
 
 from .game import ScoreField
-from .grid import Grid, Strategy, coop_count, neighbour_field
+from .grid import Grid, Strategy, best_of, coop_count, neighbour_field
 
 # Tolerance absorbing float rounding when a fractional population threshold
 # is scaled to a count (e.g. 0.7 * 10000 evaluating just below 7000).
@@ -113,47 +114,32 @@ class InvestmentOutcome:
         return cls(surplus=surplus, generation_cost=float(surplus.sum()))
 
 
-def _zero_outcome(g: Grid) -> InvestmentOutcome:
-    return InvestmentOutcome.from_surplus(np.zeros_like(g.cells, dtype=np.float64))
-
-
 def apply_pop(g: Grid, scheme: Pop) -> InvestmentOutcome:
     """All-or-nothing: every cooperator gets theta iff x_C <= p_c * Z."""
     threshold_count = int(np.floor(scheme.p_c * g.size + _POP_COUNT_EPS))
-    if coop_count(g) > threshold_count:
-        return _zero_outcome(g)
-    surplus = np.where(g.cells == Strategy.C.value, scheme.theta, 0.0)
-    return InvestmentOutcome.from_surplus(surplus)
+    theta = scheme.theta if coop_count(g) <= threshold_count else 0.0
+    return InvestmentOutcome.from_surplus(g.cells * theta)  # C is 1, D is 0
 
 
 def apply_neb(g: Grid, scheme: Neb) -> InvestmentOutcome:
     """Cooperator i gets theta iff its cooperating-neighbour count is <= n_c."""
-    n_coop = neighbour_field(g.cells).sum(axis=0, dtype=np.int64)
-    eligible = (g.cells == Strategy.C.value) & (n_coop <= scheme.n_c)
-    return InvestmentOutcome.from_surplus(np.where(eligible, scheme.theta, 0.0))
+    eligible = (g.cells == Strategy.C.value) & (sum(g.neighbour_cells) <= scheme.n_c)
+    return InvestmentOutcome.from_surplus(eligible * scheme.theta)
 
 
 def _best_neighbour(g: Grid, base: ScoreField) -> tuple[np.ndarray, np.ndarray]:
     """Per cell: (base score, strategy) of its maximal-base-score neighbour.
 
-    Ties are broken in fixed N, E, S, W order (argmax picks the first max
-    along the stacked neighbour axis).
+    Ties are broken in fixed N, E, S, W order: a later neighbour wins only
+    with a strictly larger base score.
     """
-    nbr_scores = neighbour_field(base)
-    best = nbr_scores.argmax(axis=0)
-    best_score = np.take_along_axis(nbr_scores, best[None], axis=0)[0]
-    nbr_strats = neighbour_field(g.cells)
-    best_strat = np.take_along_axis(nbr_strats, best[None], axis=0)[0]
-    return best_score, best_strat
+    return best_of(neighbour_field(base), g.neighbour_cells)
 
 
-def _neb_i_surplus(g: Grid, base: ScoreField, eps: float) -> np.ndarray:
-    best_score, best_strat = _best_neighbour(g, base)
-    eligible = (
-        (g.cells == Strategy.C.value)
-        & (best_strat == Strategy.D.value)
-        & (best_score > base)
-    )
+def _neb_i_surplus(g: Grid, base: ScoreField, eps: float, best: tuple) -> np.ndarray:
+    best_score, best_strat = best
+    eligible = (g.cells == Strategy.C.value) & (best_strat == Strategy.D.value)
+    eligible &= best_score > base
     return np.where(eligible, best_score - base + eps, 0.0)
 
 
@@ -164,7 +150,8 @@ def apply_neb_i(g: Grid, base: ScoreField, scheme: NebI) -> InvestmentOutcome:
     neighbourhood is a defector with a strictly larger base score; conditions
     and amounts use pre-interference base scores only.
     """
-    return InvestmentOutcome.from_surplus(_neb_i_surplus(g, base, scheme.eps))
+    surplus = _neb_i_surplus(g, base, scheme.eps, _best_neighbour(g, base))
+    return InvestmentOutcome.from_surplus(surplus)
 
 
 def apply_neb_ii(g: Grid, base: ScoreField, scheme: NebII) -> InvestmentOutcome:
@@ -176,30 +163,23 @@ def apply_neb_ii(g: Grid, base: ScoreField, scheme: NebII) -> InvestmentOutcome:
     M + eps. Several such neighbours impose the largest requirement; defector
     scores are never modified.
     """
-    phase_one = _neb_i_surplus(g, base, scheme.eps)
+    best_score, best_strat = best = _best_neighbour(g, base)
+    phase_one = _neb_i_surplus(g, base, scheme.eps, best)
     post = base + phase_one
 
-    best_score, best_strat = _best_neighbour(g, base)
     # Role-model score M for each defector whose best neighbour is a defector;
     # -inf marks cells that impose no requirement.
-    luring_target = np.where(
-        (g.cells == Strategy.D.value) & (best_strat == Strategy.D.value),
-        best_score,
-        -np.inf,
-    )
-    required = neighbour_field(luring_target).max(axis=0)
-    top_up = np.where(
-        g.cells == Strategy.C.value,
-        np.maximum(0.0, required + scheme.eps - post),
-        0.0,
-    )
+    lured = (g.cells == Strategy.D.value) & (best_strat == Strategy.D.value)
+    luring_target = np.where(lured, best_score, -np.inf)
+    required = reduce(np.maximum, neighbour_field(luring_target))
+    top_up = g.cells * np.maximum(0.0, required + scheme.eps - post)  # C is 1, D is 0
     return InvestmentOutcome.from_surplus(phase_one + top_up)
 
 
 def apply(scheme: InterferenceScheme, g: Grid, base: ScoreField) -> InvestmentOutcome:
     """Dispatch to the scheme's rule; NoInterference pays nothing."""
     if isinstance(scheme, NoInterference):
-        return _zero_outcome(g)
+        return InvestmentOutcome.from_surplus(np.zeros(g.cells.shape))
     if isinstance(scheme, Pop):
         return apply_pop(g, scheme)
     if isinstance(scheme, Neb):

@@ -168,6 +168,25 @@ def test_cmd_run_reproducible_bytes(tmp_path):
     assert (run_dir / "final_grid_rep000.txt").read_bytes() == snap_first
 
 
+def test_cmd_run_failure_mid_write_leaves_no_final_file(tmp_path, monkeypatch):
+    import latticecoop.cli as cli_module
+
+    written = []
+
+    def failing_snapshot(g):
+        if written:
+            raise OSError("disk full")  # the second snapshot write fails
+        written.append(g)
+        return format_snapshot(g)
+
+    monkeypatch.setattr(cli_module, "format_snapshot", failing_snapshot)
+    path = write_config(tmp_path, RUN_CONFIG)
+    assert main(["run", "--config", str(path)]) == EXIT_IO
+    (run_dir,) = run_dirs(tmp_path)
+    names = sorted(p.name for p in run_dir.iterdir())
+    assert names == ["config.yaml", "final_grid_rep000.txt.incomplete", "metrics.csv.incomplete"]
+
+
 def test_cmd_run_seed_override_changes_stochastic_output(tmp_path, capsys):
     fermi_cfg = RUN_CONFIG.replace(
         "kind: deterministic", "kind: fermi\n  K: 0.3\n  mu: 0.02"

@@ -16,13 +16,17 @@ from latticecoop.dynamics import (
 )
 from latticecoop.game import PayoffParams, compute_scores
 from latticecoop.grid import Grid, Strategy, coop_count
-from latticecoop.interference import Pop, apply
+from latticecoop.interference import NebI, NebII, Pop, apply
 
 from conftest import grids, step_deterministic_bruteforce, step_fermi_bruteforce
 
 C, D = Strategy.C, Strategy.D
 
 finite_scores = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+# At b=1.5 and b=2.0 some defector scores k*b equal integer cooperator scores,
+# so score ties between candidates are common; b=1.8 is the reference value.
+TIE_BS = (1.5, 1.8, 2.0)
 
 
 def test_fermi_rule_validation():
@@ -105,9 +109,10 @@ def test_step_deterministic_lone_defector_stable_band():
 @settings(max_examples=60)
 @given(grids(), st.floats(0.0, 6.0))
 def test_step_deterministic_matches_bruteforce(g, theta):
-    scores = _invested_scores(g, 1.8, theta) if theta > 0 else compute_scores(g, PayoffParams(b=1.8))
-    expected = step_deterministic_bruteforce(g, scores)
-    assert step_deterministic(g, scores) == expected
+    for b in TIE_BS:  # every example is checked at each temptation
+        scores = _invested_scores(g, b, theta) if theta > 0 else compute_scores(g, PayoffParams(b=b))
+        expected = step_deterministic_bruteforce(g, scores)
+        assert step_deterministic(g, scores) == expected
 
 
 def test_step_deterministic_is_pure():
@@ -154,6 +159,22 @@ def test_step_fermi_matches_sequential_replay(g, k, mu, seed):
     got = step_fermi(g, scores, rule, np.random.default_rng(seed))
     expected = step_fermi_bruteforce(g, scores, k, mu, seed)
     assert got == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    grids(),
+    st.sampled_from([Pop(p_c=1.0, theta=1.0), NebI(eps=0.5), NebII(eps=0.5)]),
+    st.sampled_from([0.0, 0.05]),
+    st.integers(0, 2**32 - 1),
+)
+def test_step_fermi_matches_sequential_replay_on_invested_scores(g, scheme, mu, seed):
+    # the replay must also hold for base + surplus, the scores the engine passes
+    for b in TIE_BS:
+        base = compute_scores(g, PayoffParams(b=b))
+        scores = base + apply(scheme, g, base).surplus
+        got = step_fermi(g, scores, Fermi(K=0.3, mu=mu), np.random.default_rng(seed))
+        assert got == step_fermi_bruteforce(g, scores, 0.3, mu, seed)
 
 
 def test_step_dispatch():

@@ -70,6 +70,21 @@ def test_scores_match_bruteforce(g, params):
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=60)
+@given(grids(), st.sampled_from([1.5, 1.8, 2.0]), st.floats(0.01, 0.5))
+def test_scores_equal_closed_form_exactly(g, b, punishment):
+    # With P > 0 the brute-force oracle sums payoffs in another order and
+    # needs allclose; the closed form k*b + (4-k)*P pins every bit.
+    params = PayoffParams(b=b, punishment=punishment)
+    flat = g.cells.reshape(-1)
+    expected = []
+    for i in range(g.size):
+        k = sum(int(flat[j]) for j in neighbours(i, g.side_length))
+        expected.append(k * 1.0 + (4 - k) * 0.0 if flat[i] == C.value else k * b + (4 - k) * punishment)
+    got = compute_scores(g, params)
+    np.testing.assert_array_equal(got, np.array(expected).reshape(g.cells.shape))
+
+
 @settings(max_examples=40)
 @given(grids(min_side=4), payoffs(), st.data())
 def test_flipping_neighbour_to_d_never_raises_score(g, params, data):

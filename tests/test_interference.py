@@ -173,20 +173,27 @@ def test_neb_ii_no_defectors_costs_nothing():
     assert apply_neb_ii(g, base, NebII(eps=0.3)).generation_cost == 0.0
 
 
+# At b=1.5 and b=2.0 some defector scores k*b equal integer cooperator scores,
+# which exercises the N, E, S, W tie-break of the best-neighbour search.
+TIE_BS = (1.5, 1.8, 2.0)
+
+
 @settings(max_examples=60)
 @given(grids(), st.floats(0.01, 2.0))
 def test_neb_i_matches_bruteforce(g, eps):
-    base = compute_scores(g, PayoffParams(b=1.8))
-    out = apply_neb_i(g, base, NebI(eps=eps))
-    np.testing.assert_array_equal(out.surplus, neb_i_bruteforce(g, base, eps))
+    for b in TIE_BS:  # every example is checked at each temptation
+        base = compute_scores(g, PayoffParams(b=b))
+        out = apply_neb_i(g, base, NebI(eps=eps))
+        np.testing.assert_array_equal(out.surplus, neb_i_bruteforce(g, base, eps))
 
 
 @settings(max_examples=60)
 @given(grids(), st.floats(0.01, 2.0))
 def test_neb_ii_matches_bruteforce(g, eps):
-    base = compute_scores(g, PayoffParams(b=1.8))
-    out = apply_neb_ii(g, base, NebII(eps=eps))
-    np.testing.assert_array_equal(out.surplus, neb_ii_bruteforce(g, base, eps))
+    for b in TIE_BS:
+        base = compute_scores(g, PayoffParams(b=b))
+        out = apply_neb_ii(g, base, NebII(eps=eps))
+        np.testing.assert_array_equal(out.surplus, neb_ii_bruteforce(g, base, eps))
 
 
 def _schemes():
