@@ -224,20 +224,22 @@ SWEEP_HEADER = (
 )
 
 
+def sweep_row(cell: AggregateCell) -> tuple:
+    """One sweep-table row under SWEEP_HEADER; floats as repr, so they round-trip."""
+    return (
+        repr(cell.theta),
+        repr(cell.threshold),
+        repr(cell.mean_coop_fraction),
+        repr(cell.stderr_coop),
+        repr(cell.mean_total_cost),
+        repr(cell.stderr_cost),
+        cell.n_replicates,
+    )
+
+
 def write_sweep_csv(path, cells: Iterable[AggregateCell]) -> None:
     """Sweep table CSV, one row per (theta, threshold) cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
-        for cell in cells:
-            writer.writerow(
-                (
-                    repr(cell.theta),
-                    repr(cell.threshold),
-                    repr(cell.mean_coop_fraction),
-                    repr(cell.stderr_coop),
-                    repr(cell.mean_total_cost),
-                    repr(cell.stderr_cost),
-                    cell.n_replicates,
-                )
-            )
+        writer.writerows(sweep_row(cell) for cell in cells)

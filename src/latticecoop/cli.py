@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import SWEEP_HEADER, verify_thresholds
+from .analysis import SWEEP_HEADER, sweep_row, verify_thresholds
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -78,11 +78,10 @@ def _prepare_run_dir(config: ExperimentConfig) -> Path:
 
 def cmd_run(args) -> int:
     config = with_overrides(load_config(args.config), seed=args.seed, output_dir=args.out)
+    run_config = config.run_config()
     run_dir = _prepare_run_dir(config)
 
-    results = run_replicates(
-        config.run_config(), config.replicates, config.base_seed, workers=args.workers
-    )
+    results = run_replicates(run_config, config.replicates, run_config.seed, workers=args.workers)
     labelled = [(f"rep{i:03d}", result) for i, result in enumerate(results)]
     # Data files are written under .incomplete names and renamed only once all
     # of them are written, so an aborted run leaves nothing that looks final.
@@ -125,17 +124,7 @@ def cmd_sweep(args) -> int:
         writer.writerow(SWEEP_HEADER)
 
         def progress(done, total, cell):
-            writer.writerow(
-                (
-                    repr(cell.theta),
-                    repr(cell.threshold),
-                    repr(cell.mean_coop_fraction),
-                    repr(cell.stderr_coop),
-                    repr(cell.mean_total_cost),
-                    repr(cell.stderr_cost),
-                    cell.n_replicates,
-                )
-            )
+            writer.writerow(sweep_row(cell))
             fh.flush()
             print(
                 f"cell {done}/{total}: theta={cell.theta} threshold={cell.threshold} "

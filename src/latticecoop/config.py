@@ -1,117 +1,66 @@
 """Experiment config files: parse, validate, emit, hash.
 
 Configs are YAML documents with sections ``model``, ``scheme``, ``rule``,
-``protocol``, ``output`` and (for sweeps) ``sweep``. Parsing re-validates
-every invariant of the underlying types and reports errors with their field
-path, e.g. ``scheme.theta: must be > 0``. Emitting the effective config and
-re-parsing it yields an identical experiment.
+``protocol``, ``output`` and (for sweeps) ``sweep``. Scheme and rule kinds,
+and the fields each takes, come from ``interference.SCHEMES`` and
+``dynamics.RULES``. Errors carry their section or field path, e.g.
+``scheme.theta: required field is missing``. Emitting the effective config
+and re-parsing it yields an identical experiment.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import Any, Mapping, get_type_hints
 
 import yaml
 
-from .dynamics import Deterministic, Fermi, UpdateRule
-from .engine import MAX_SEED, RunConfig
+from .dynamics import RULES, Deterministic
+from .engine import RunConfig
 from .game import PayoffParams
-from .grid import MIN_SIDE_LENGTH
-from .interference import InterferenceScheme, Neb, NebI, NebII, NoInterference, Pop
+from .interference import SCHEMES, NoInterference, Pop
 from .sweep import SweepSpec
-
-SCHEME_KINDS = ("none", "pop", "neb", "neb_i", "neb_ii")
-RULE_KINDS = ("deterministic", "fermi")
 
 
 class ConfigError(ValueError):
-    """A config file problem, message prefixed with the offending field path."""
+    """A config file problem, message prefixed with its section or field path."""
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat, validated view of one experiment config document."""
+    """Validated experiment: the run, its replicate count, output naming, sweep.
 
-    side_length: int
-    b: float
-    punishment: float
-    initial_coop_probability: float
-    initial_exact_fraction: bool
-    scheme_kind: str
-    p_c: float | None
-    n_c: int | None
-    theta: float | None
-    eps: float | None
-    rule_kind: str
-    fermi_k: float | None
-    mu: float
-    generations: int
-    measure_window: int
+    In a sweep config ``run`` is the sweep's base run, whose scheme is a
+    placeholder: the cells' schemes come from ``sweep``.
+    """
+
+    run: RunConfig
     replicates: int
-    base_seed: int
-    early_stop_on_homogeneous: bool
     output_dir: str
     label: str
-    sweep_theta_values: tuple[float, ...] | None
-    sweep_threshold_values: tuple[float, ...] | None
+    sweep: SweepSpec | None
 
-    def payoff(self) -> PayoffParams:
-        return PayoffParams(b=self.b, punishment=self.punishment)
-
-    def scheme(self) -> InterferenceScheme:
-        if self.scheme_kind == "none":
-            return NoInterference()
-        if self.scheme_kind == "pop":
-            if self.p_c is None or self.theta is None:
-                raise ConfigError("scheme: p_c/theta unset (sweep-style config; use the sweep command)")
-            return Pop(p_c=self.p_c, theta=self.theta)
-        if self.scheme_kind == "neb":
-            if self.n_c is None or self.theta is None:
-                raise ConfigError("scheme: n_c/theta unset (sweep-style config; use the sweep command)")
-            return Neb(n_c=self.n_c, theta=self.theta)
-        if self.eps is None:
-            raise ConfigError("scheme: eps unset (sweep-style config; use the sweep command)")
-        if self.scheme_kind == "neb_i":
-            return NebI(eps=self.eps)
-        return NebII(eps=self.eps)
-
-    def rule(self) -> UpdateRule:
-        if self.rule_kind == "deterministic":
-            return Deterministic()
-        return Fermi(K=self.fermi_k, mu=self.mu)
-
-    def run_config(self, scheme: InterferenceScheme | None = None) -> RunConfig:
-        return RunConfig(
-            side_length=self.side_length,
-            payoff=self.payoff(),
-            scheme=self.scheme() if scheme is None else scheme,
-            rule=self.rule(),
-            generations=self.generations,
-            measure_window=self.measure_window,
-            seed=self.base_seed,
-            initial_coop_probability=self.initial_coop_probability,
-            initial_exact_fraction=self.initial_exact_fraction,
-            early_stop_on_homogeneous=self.early_stop_on_homogeneous,
-        )
+    def run_config(self) -> RunConfig:
+        if self.sweep is not None:
+            raise ConfigError("scheme: set by the sweep section (use the sweep command)")
+        return self.run
 
     def sweep_spec(self) -> SweepSpec:
-        if self.sweep_theta_values is None or self.sweep_threshold_values is None:
+        if self.sweep is None:
             raise ConfigError("sweep: section with theta_values and threshold_values required")
-        if self.scheme_kind == "none":
-            raise ConfigError("sweep: scheme.kind must name a scheme family, not 'none'")
-        try:
-            return SweepSpec(
-                base=self.run_config(scheme=NoInterference()),
-                scheme_kind=self.scheme_kind,
-                theta_values=self.sweep_theta_values,
-                threshold_values=self.sweep_threshold_values,
-                replicates=self.replicates,
-                base_seed=self.base_seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
+        return self.sweep
+
+
+# How errors name the type a field expects, by the Python type it takes.
+_EXPECTED = {int: "an integer", float: "a number", bool: "true/false", str: "a string"}
+
+
+def _is(value: Any, typ: type) -> bool:
+    # bool is an int subclass: accept it where, and only where, a bool is asked for
+    if isinstance(value, bool) or typ is bool:
+        return isinstance(value, bool) and typ is bool
+    return isinstance(value, (int, float) if typ is float else typ)
 
 
 class _Section:
@@ -137,61 +86,65 @@ class _Section:
             raise ConfigError(f"{self.name}.{field}: required field is missing")
         return default
 
-    def get_int(self, field: str, required: bool = False, default: int | None = None) -> int | None:
+    def get(self, field: str, typ: type, required: bool = False, default=None):
+        """The field as ``typ`` (int, float, bool or str); ints are accepted as floats."""
         value = self._fetch(field, required, default)
         if value is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{self.name}.{field}: expected an integer, got {value!r}")
-        return value
+        if not _is(value, typ):
+            raise ConfigError(f"{self.name}.{field}: expected {_EXPECTED[typ]}, got {value!r}")
+        return float(value) if typ is float else value
 
-    def get_float(self, field: str, required: bool = False, default=None) -> float | None:
-        value = self._fetch(field, required, default)
+    def get_float_list(self, field: str, required: bool = False) -> tuple[float, ...] | None:
+        value = self._fetch(field, required, default=None)
         if value is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{self.name}.{field}: expected a number, got {value!r}")
-        return float(value)
-
-    def get_bool(self, field: str, required: bool = False, default=None) -> bool | None:
-        value = self._fetch(field, required, default)
-        if value is None:
-            return None
-        if not isinstance(value, bool):
-            raise ConfigError(f"{self.name}.{field}: expected true/false, got {value!r}")
-        return value
-
-    def get_str(self, field: str, required: bool = False, default=None) -> str | None:
-        value = self._fetch(field, required, default)
-        if value is None:
-            return None
-        if not isinstance(value, str):
-            raise ConfigError(f"{self.name}.{field}: expected a string, got {value!r}")
-        return value
-
-    def get_float_list(self, field: str) -> tuple[float, ...] | None:
-        value = self._fetch(field, required=False, default=None)
-        if value is None:
-            return None
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError(f"{self.name}.{field}: expected a non-empty list of numbers")
-        out = []
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{self.name}.{field}: expected a list of numbers")
         for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
+            if not _is(item, float):
                 raise ConfigError(f"{self.name}.{field}: expected numbers, got {item!r}")
-            out.append(float(item))
-        return tuple(out)
+        return tuple(float(item) for item in value)
 
 
 def _fraction_from(value: float, z: int, field: str) -> float:
-    """Population threshold: fraction in [0, 1], or a count in (1, Z] scaled by Z."""
+    """Population threshold: a fraction of Z, or a count in (1, Z] scaled by Z."""
     if value > 1.0:
-        if value != int(value) or value > z:
+        if not value.is_integer() or value > z:
             raise ConfigError(f"{field}: count form must be an integer in 1..Z={z}, got {value}")
         return value / z
-    if value < 0.0:
-        raise ConfigError(f"{field}: must be a fraction in [0, 1] or a count, got {value}")
     return value
+
+
+def _kind(section: _Section, table: Mapping[str, type]) -> tuple[str, type]:
+    """``section.kind`` and its class in ``table``; rejects fields the class lacks."""
+    section.reject_unknown(("kind", *(f.name for cls in table.values() for f in fields(cls))))
+    kind = section.get("kind", str, required=True)
+    if kind not in table:
+        raise ConfigError(f"{section.name}.kind: must be one of {tuple(table)}, got {kind!r}")
+    own = {f.name for f in fields(table[kind])}
+    for field in section.data:
+        if field != "kind" and field not in own:
+            raise ConfigError(f"{section.name}.{field}: not valid for kind {kind!r}")
+    return kind, table[kind]
+
+
+def _build(section: _Section, cls: type):
+    """``cls`` from the section's fields, typed and defaulted as its dataclass declares."""
+    types = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        values[f.name] = section.get(
+            f.name, types[f.name], required=f.default is MISSING, default=f.default
+        )
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section.name}: {exc}") from exc
+
+
+def _kind_of(table: Mapping[str, type], value: Any) -> str:
+    return next(kind for kind, cls in table.items() if type(value) is cls)
 
 
 def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
@@ -208,67 +161,41 @@ def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
             "initial_exact_fraction",
         )
     )
-    side_length = model.get_int("side_length", required=True)
-    if side_length < MIN_SIDE_LENGTH:
-        raise ConfigError(f"model.side_length: must be >= {MIN_SIDE_LENGTH}, got {side_length}")
-    b = model.get_float("b", required=True)
-    punishment = model.get_float("punishment", default=0.0)
-    initial_coop = model.get_float("initial_coop_probability", default=0.5)
-    exact_fraction = model.get_bool("initial_exact_fraction", default=False)
+    side_length = model.get("side_length", int, required=True)
+    b = model.get("b", float, required=True)
+    punishment = model.get("punishment", float, default=0.0)
+    initial_coop = model.get("initial_coop_probability", float, default=0.5)
+    exact_fraction = model.get("initial_exact_fraction", bool, default=False)
     try:
-        PayoffParams(b=b, punishment=punishment)
+        run = RunConfig(
+            side_length=side_length,
+            payoff=PayoffParams(b=b, punishment=punishment),
+            scheme=NoInterference(),
+            rule=Deterministic(),
+            initial_coop_probability=initial_coop,
+            initial_exact_fraction=exact_fraction,
+        )
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    if not 0.0 <= initial_coop <= 1.0:
-        raise ConfigError(
-            f"model.initial_coop_probability: must be in [0, 1], got {initial_coop}"
-        )
+    z = side_length * side_length
 
     has_sweep = "sweep" in root.data
-
     scheme = _Section("scheme", root.data.get("scheme"))
-    scheme.reject_unknown(("kind", "p_c", "n_c", "theta", "eps"))
-    scheme_kind = scheme.get_str("kind", required=True)
-    if scheme_kind not in SCHEME_KINDS:
-        raise ConfigError(f"scheme.kind: must be one of {SCHEME_KINDS}, got {scheme_kind!r}")
-    allowed_fields = {
-        "none": (),
-        "pop": ("p_c", "theta"),
-        "neb": ("n_c", "theta"),
-        "neb_i": ("eps",),
-        "neb_ii": ("eps",),
-    }[scheme_kind]
-    for field in ("p_c", "n_c", "theta", "eps"):
-        if field in scheme.data and field not in allowed_fields:
-            raise ConfigError(f"scheme.{field}: not valid for kind {scheme_kind!r}")
-        if field in scheme.data and has_sweep:
+    scheme_kind, family = _kind(scheme, SCHEMES)
+    if has_sweep:
+        extra = [field for field in scheme.data if field != "kind"]
+        if extra:
             raise ConfigError(
-                f"scheme.{field}: not allowed alongside a sweep section "
+                f"scheme.{extra[0]}: not allowed alongside a sweep section "
                 "(cell values come from sweep.theta_values / sweep.threshold_values)"
             )
-    p_c = n_c = theta = eps = None
-    z = side_length * side_length
-    if scheme_kind == "pop" and not has_sweep:
-        p_c = _fraction_from(scheme.get_float("p_c", required=True), z, "scheme.p_c")
-        theta = scheme.get_float("theta", required=True)
-    elif scheme_kind == "neb" and not has_sweep:
-        n_c = scheme.get_int("n_c", required=True)
-        theta = scheme.get_float("theta", required=True)
-    elif scheme_kind in ("neb_i", "neb_ii") and not has_sweep:
-        eps = scheme.get_float("eps", required=True)
+    else:
+        if family is Pop and "p_c" in scheme.data:
+            scheme.data["p_c"] = _fraction_from(scheme.get("p_c", float), z, "scheme.p_c")
+        run = replace(run, scheme=_build(scheme, family))
 
     rule = _Section("rule", root.data.get("rule"))
-    rule.reject_unknown(("kind", "K", "mu"))
-    rule_kind = rule.get_str("kind", required=True)
-    if rule_kind not in RULE_KINDS:
-        raise ConfigError(f"rule.kind: must be one of {RULE_KINDS}, got {rule_kind!r}")
-    fermi_k = None
-    mu = 0.0
-    if rule_kind == "fermi":
-        fermi_k = rule.get_float("K", required=True)
-        mu = rule.get_float("mu", default=0.0)
-    elif "K" in rule.data or "mu" in rule.data:
-        raise ConfigError("rule.K: only valid when rule.kind is 'fermi'")
+    run = replace(run, rule=_build(rule, _kind(rule, RULES)[1]))
 
     protocol = _Section("protocol", root.data.get("protocol"))
     protocol.reject_unknown(
@@ -280,79 +207,54 @@ def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
             "early_stop_on_homogeneous",
         )
     )
-    generations = protocol.get_int("generations", default=200)
-    measure_window = protocol.get_int("measure_window", default=50)
-    replicates = protocol.get_int("replicates", default=1)
-    base_seed = protocol.get_int("base_seed", default=0)
-    early_stop = protocol.get_bool("early_stop_on_homogeneous", default=True)
+    generations = protocol.get("generations", int, default=200)
+    measure_window = protocol.get("measure_window", int, default=50)
+    replicates = protocol.get("replicates", int, default=1)
+    base_seed = protocol.get("base_seed", int, default=0)
+    early_stop = protocol.get("early_stop_on_homogeneous", bool, default=True)
     if replicates < 1:
         raise ConfigError(f"protocol.replicates: must be >= 1, got {replicates}")
-    if not 0 <= base_seed < MAX_SEED:
-        raise ConfigError(f"protocol.base_seed: must be in [0, 2^64), got {base_seed}")
+    try:
+        run = replace(
+            run,
+            generations=generations,
+            measure_window=measure_window,
+            seed=base_seed,
+            early_stop_on_homogeneous=early_stop,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"protocol: {exc}") from exc
 
     output = _Section("output", root.data.get("output"))
     output.reject_unknown(("directory", "label"))
-    output_dir = output.get_str("directory", default="runs")
-    label = output.get_str("label", default="experiment")
+    output_dir = output.get("directory", str, default="runs")
+    label = output.get("label", str, default="experiment")
 
-    sweep_theta = sweep_thresholds = None
-    if "sweep" in root.data:
-        sweep = _Section("sweep", root.data.get("sweep"))
-        sweep.reject_unknown(("theta_values", "threshold_values"))
-        sweep_theta = sweep.get_float_list("theta_values")
-        sweep_thresholds = sweep.get_float_list("threshold_values")
-        if sweep_thresholds is None:
-            raise ConfigError("sweep.threshold_values: required field is missing")
-        if sweep_theta is None:
-            if scheme_kind in ("neb_i", "neb_ii"):
-                sweep_theta = (1.0,)  # placeholder; these schemes take no theta
-            else:
-                raise ConfigError("sweep.theta_values: required field is missing")
-        if scheme_kind == "pop":
-            sweep_thresholds = tuple(
-                _fraction_from(v, z, "sweep.threshold_values") for v in sweep_thresholds
+    sweep = None
+    if has_sweep:
+        section = _Section("sweep", root.data.get("sweep"))
+        section.reject_unknown(("theta_values", "threshold_values"))
+        thresholds = section.get_float_list("threshold_values", required=True)
+        thetas = section.get_float_list("theta_values", required="theta" in get_type_hints(family))
+        if thetas is None:
+            thetas = (1.0,)  # placeholder; this family takes no theta
+        if family is Pop:
+            thresholds = tuple(_fraction_from(v, z, "sweep.threshold_values") for v in thresholds)
+        try:
+            sweep = SweepSpec(
+                base=run,
+                scheme_kind=scheme_kind,
+                theta_values=thetas,
+                threshold_values=thresholds,
+                replicates=replicates,
+                base_seed=base_seed,
             )
+        except ValueError as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
 
-    config = ExperimentConfig(
-        side_length=side_length,
-        b=b,
-        punishment=punishment,
-        initial_coop_probability=initial_coop,
-        initial_exact_fraction=exact_fraction,
-        scheme_kind=scheme_kind,
-        p_c=p_c,
-        n_c=n_c,
-        theta=theta,
-        eps=eps,
-        rule_kind=rule_kind,
-        fermi_k=fermi_k,
-        mu=mu,
-        generations=generations,
-        measure_window=measure_window,
-        replicates=replicates,
-        base_seed=base_seed,
-        early_stop_on_homogeneous=early_stop,
-        output_dir=output_dir,
-        label=label,
-        sweep_theta_values=sweep_theta,
-        sweep_threshold_values=sweep_thresholds,
+    return ExperimentConfig(
+        run=run, replicates=replicates, output_dir=output_dir, label=label, sweep=sweep
     )
-    # Surface any remaining type-level invariant violation with its section.
-    placeholder = NoInterference() if has_sweep else None
-    try:
-        if not has_sweep:
-            config.scheme()
-    except ValueError as exc:
-        raise ConfigError(f"scheme: {exc}") from exc
-    try:
-        config.rule()
-    except ValueError as exc:
-        raise ConfigError(f"rule: {exc}") from exc
-    try:
-        config.run_config(scheme=placeholder)
-    except ValueError as exc:
-        raise ConfigError(f"protocol: {exc}") from exc
-    return config
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -374,40 +276,34 @@ def load_config(path) -> ExperimentConfig:
 
 def config_dict(config: ExperimentConfig) -> dict:
     """Nested section layout of the effective config (round-trips via parse)."""
+    run = config.run
+    if config.sweep is None:
+        scheme = {"kind": _kind_of(SCHEMES, run.scheme), **asdict(run.scheme)}
+    else:
+        scheme = {"kind": config.sweep.scheme_kind}
     doc: dict[str, Any] = {
         "model": {
-            "side_length": config.side_length,
-            "b": config.b,
-            "punishment": config.punishment,
-            "initial_coop_probability": config.initial_coop_probability,
-            "initial_exact_fraction": config.initial_exact_fraction,
+            "side_length": run.side_length,
+            "b": run.payoff.b,
+            "punishment": run.payoff.punishment,
+            "initial_coop_probability": run.initial_coop_probability,
+            "initial_exact_fraction": run.initial_exact_fraction,
         },
-        "scheme": {"kind": config.scheme_kind},
-        "rule": {"kind": config.rule_kind},
+        "scheme": scheme,
+        "rule": {"kind": _kind_of(RULES, run.rule), **asdict(run.rule)},
         "protocol": {
-            "generations": config.generations,
-            "measure_window": config.measure_window,
+            "generations": run.generations,
+            "measure_window": run.measure_window,
             "replicates": config.replicates,
-            "base_seed": config.base_seed,
-            "early_stop_on_homogeneous": config.early_stop_on_homogeneous,
+            "base_seed": run.seed,
+            "early_stop_on_homogeneous": run.early_stop_on_homogeneous,
         },
         "output": {"directory": config.output_dir, "label": config.label},
     }
-    for field, value in (
-        ("p_c", config.p_c),
-        ("n_c", config.n_c),
-        ("theta", config.theta),
-        ("eps", config.eps),
-    ):
-        if value is not None:
-            doc["scheme"][field] = value
-    if config.rule_kind == "fermi":
-        doc["rule"]["K"] = config.fermi_k
-        doc["rule"]["mu"] = config.mu
-    if config.sweep_theta_values is not None:
+    if config.sweep is not None:
         doc["sweep"] = {
-            "theta_values": list(config.sweep_theta_values),
-            "threshold_values": list(config.sweep_threshold_values),
+            "theta_values": list(config.sweep.theta_values),
+            "threshold_values": list(config.sweep.threshold_values),
         }
     return doc
 
@@ -430,9 +326,12 @@ def with_overrides(
     output_dir: str | None = None,
 ) -> ExperimentConfig:
     if seed is not None:
-        if not 0 <= seed < MAX_SEED:
-            raise ConfigError(f"--seed: must be in [0, 2^64), got {seed}")
-        config = replace(config, base_seed=seed)
+        try:
+            run = replace(config.run, seed=seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
+        sweep = None if config.sweep is None else replace(config.sweep, base=run, base_seed=seed)
+        config = replace(config, run=run, sweep=sweep)
     if output_dir is not None:
         config = replace(config, output_dir=output_dir)
     return config

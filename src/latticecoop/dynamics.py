@@ -40,6 +40,9 @@ class Fermi:
 
 UpdateRule = Union[Deterministic, Fermi]
 
+# Config kind name -> update rule class.
+RULES = {"deterministic": Deterministic, "fermi": Fermi}
+
 
 def fermi_probability(f_a: float, f_b: float, k: float) -> float:
     """Probability that agent A (score f_a) copies neighbour B (score f_b).

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import Deterministic, Fermi, UpdateRule, step
 from .game import PayoffParams, compute_scores
-from .grid import Grid, Strategy, coop_count, grid_hash, random_grid
+from .grid import MIN_SIDE_LENGTH, Grid, Strategy, coop_count, grid_hash, random_grid
 from .interference import InterferenceScheme, apply
 
 MAX_SEED = 2**64  # seeds are 64-bit unsigned
@@ -54,8 +54,8 @@ class RunConfig:
     early_stop_on_homogeneous: bool = True
 
     def __post_init__(self) -> None:
-        if self.side_length < 3:
-            raise ValueError(f"side_length must be >= 3, got {self.side_length}")
+        if self.side_length < MIN_SIDE_LENGTH:
+            raise ValueError(f"side_length must be >= {MIN_SIDE_LENGTH}, got {self.side_length}")
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
         if self.measure_window < 1:

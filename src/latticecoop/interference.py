@@ -20,6 +20,7 @@ input, so the per-agent grants are order-independent and reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Union
@@ -53,8 +54,8 @@ class Pop:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_c <= 1.0:
             raise ValueError(f"p_c must be in [0, 1], got {self.p_c}")
-        if self.theta <= 0.0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class Neb:
     def __post_init__(self) -> None:
         if self.n_c not in (0, 1, 2, 3, 4):
             raise ValueError(f"n_c must be an integer in 0..4, got {self.n_c}")
-        if self.theta <= 0.0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ class NebI:
     eps: float
 
     def __post_init__(self) -> None:
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,15 @@ class NebII:
     eps: float
 
     def __post_init__(self) -> None:
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 InterferenceScheme = Union[NoInterference, Pop, Neb, NebI, NebII]
+
+# Config kind name -> scheme class. A family's first field is its sweep
+# threshold axis; ``theta``, where present, is its investment axis.
+SCHEMES = {"none": NoInterference, "pop": Pop, "neb": Neb, "neb_i": NebI, "neb_ii": NebII}
 
 
 @dataclass(frozen=True)

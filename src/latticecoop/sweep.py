@@ -11,15 +11,15 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from .analysis import AggregateCell, aggregate
 from .engine import RunConfig, derive_seed, run
-from .interference import InterferenceScheme, Neb, NebI, NebII, Pop
+from .interference import SCHEMES, InterferenceScheme
 
-SCHEME_KINDS = ("pop", "neb", "neb_i", "neb_ii")
 ARTIFACT_VERSION = "0.1.0"
 
 
@@ -27,10 +27,11 @@ ARTIFACT_VERSION = "0.1.0"
 class SweepSpec:
     """A scheme family swept over theta and threshold value lists.
 
-    ``threshold_values`` are p_c fractions for pop, integer n_c levels for
-    neb, and eps margins for neb_i / neb_ii. The fitness-observation schemes
-    take no theta; their theta_values list must hold a single placeholder
-    that is carried into the output table unchanged.
+    ``scheme_kind`` names a family in ``interference.SCHEMES``. Each
+    threshold value sets the family's first field (p_c fractions for pop,
+    integer n_c levels for neb, eps margins for neb_i / neb_ii); each theta
+    value sets ``theta``. Families without ``theta`` take a single
+    placeholder theta value, carried into the output table unchanged.
     """
 
     base: RunConfig
@@ -41,8 +42,10 @@ class SweepSpec:
     base_seed: int
 
     def __post_init__(self) -> None:
-        if self.scheme_kind not in SCHEME_KINDS:
-            raise ValueError(f"scheme_kind must be one of {SCHEME_KINDS}, got {self.scheme_kind!r}")
+        family = SCHEMES.get(self.scheme_kind)
+        if family is None or not fields(family):
+            families = tuple(kind for kind, cls in SCHEMES.items() if fields(cls))
+            raise ValueError(f"scheme_kind must be one of {families}, got {self.scheme_kind!r}")
         object.__setattr__(self, "theta_values", tuple(float(t) for t in self.theta_values))
         object.__setattr__(
             self, "threshold_values", tuple(float(t) for t in self.threshold_values)
@@ -51,19 +54,27 @@ class SweepSpec:
         _check_values("threshold_values", self.threshold_values)
         if any(t <= 0 for t in self.theta_values):
             raise ValueError("theta_values must all be > 0")
-        if self.scheme_kind in ("neb_i", "neb_ii"):
-            if len(self.theta_values) != 1:
-                raise ValueError(f"{self.scheme_kind} takes no theta; pass one placeholder value")
-            if any(e <= 0 for e in self.threshold_values):
-                raise ValueError("eps threshold_values must all be > 0")
+        if "theta" not in get_type_hints(family) and len(self.theta_values) != 1:
+            raise ValueError(f"{self.scheme_kind} takes no theta; pass one placeholder value")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        # Building each scheme validates the threshold ranges up front.
-        for threshold in self.threshold_values:
-            _build_scheme(self.scheme_kind, self.theta_values[0], threshold)
+        # Building every cell's scheme validates all values before any run starts.
+        for theta in self.theta_values:
+            for threshold in self.threshold_values:
+                self.cell_scheme(theta, threshold)
 
     def cell_scheme(self, theta: float, threshold: float) -> InterferenceScheme:
-        return _build_scheme(self.scheme_kind, theta, threshold)
+        family = SCHEMES[self.scheme_kind]
+        types = get_type_hints(family)
+        axis = fields(family)[0].name
+        values = {axis: threshold}
+        if types[axis] is int:
+            if not float(threshold).is_integer():
+                raise ValueError(f"{axis} threshold must be an integer, got {threshold}")
+            values[axis] = int(threshold)
+        if "theta" in types:
+            values["theta"] = theta
+        return family(**values)
 
 
 def _check_values(name: str, values: tuple[float, ...]) -> None:
@@ -71,21 +82,6 @@ def _check_values(name: str, values: tuple[float, ...]) -> None:
         raise ValueError(f"{name} must be non-empty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must be strictly increasing (sorted, no duplicates)")
-
-
-def _build_scheme(kind: str, theta: float, threshold: float) -> InterferenceScheme:
-    if kind == "pop":
-        return Pop(p_c=threshold, theta=theta)
-    if kind == "neb":
-        n_c = int(threshold)
-        if n_c != threshold:
-            raise ValueError(f"neb threshold must be an integer in 0..4, got {threshold}")
-        return Neb(n_c=n_c, theta=theta)
-    if kind == "neb_i":
-        return NebI(eps=threshold)
-    if kind == "neb_ii":
-        return NebII(eps=threshold)
-    raise ValueError(f"unknown scheme kind {kind!r}")
 
 
 def _value_key(value: float) -> int:

@@ -11,6 +11,8 @@ from latticecoop.config import (
     parse_config_text,
 )
 from latticecoop.grid import format_snapshot, random_grid
+from latticecoop.dynamics import RULES
+from latticecoop.interference import SCHEMES, Neb
 
 import numpy as np
 
@@ -69,7 +71,7 @@ def run_dirs(tmp_path):
 def test_parse_and_round_trip(tmp_path):
     path = write_config(tmp_path, RUN_CONFIG)
     cfg = load_config(path)
-    assert cfg.scheme_kind == "neb" and cfg.n_c == 3 and cfg.theta == 5.3
+    assert cfg.run.scheme == Neb(n_c=3, theta=5.3)
     assert parse_config_text(emit_config(cfg)) == cfg
 
 
@@ -116,6 +118,11 @@ def test_config_field_errors():
             "model: {side_length: 10, b: 1.8}\nscheme: {kind: neb, n_c: 3, theta: 5.3, p_c: 1.0}\n"
             "rule: {kind: deterministic}\n"
         )
+    with pytest.raises(ConfigError, match="rule.mu"):
+        parse_config_text(
+            "model: {side_length: 10, b: 1.8}\nscheme: {kind: none}\n"
+            "rule: {kind: deterministic, mu: 0.1}\n"
+        )
     with pytest.raises(ConfigError, match="unknown field"):
         parse_config_text(
             "model: {side_length: 10, b: 1.8, bee: 2}\nscheme: {kind: none}\n"
@@ -123,12 +130,50 @@ def test_config_field_errors():
         )
 
 
+SCHEME_EXAMPLES = {
+    "none": ["{kind: none}"],
+    "pop": ["{kind: pop, p_c: 0.6, theta: 2.0}", "{kind: pop, p_c: 60, theta: 2.0}"],
+    "neb": ["{kind: neb, n_c: 3, theta: 3.0}"],
+    "neb_i": ["{kind: neb_i, eps: 0.5}"],
+    "neb_ii": ["{kind: neb_ii, eps: 0.5}"],
+}
+RULE_EXAMPLES = {"deterministic": "{kind: deterministic}", "fermi": "{kind: fermi, K: 0.3, mu: 0.01}"}
+SWEEP_EXAMPLES = {
+    "pop": "{theta_values: [4.5, 5.3], threshold_values: [0.5, 85]}",
+    "neb": "{theta_values: [4.5, 5.3], threshold_values: [2, 3]}",
+    "neb_i": "{threshold_values: [0.1, 0.5]}",
+    "neb_ii": "{threshold_values: [0.1, 0.5]}",
+}
+
+
+def kind_config(scheme, rule_kind, sweep=None):
+    text = f"model: {{side_length: 10, b: 1.8}}\nscheme: {scheme}\nrule: {RULE_EXAMPLES[rule_kind]}\n"
+    return text if sweep is None else text + f"sweep: {sweep}\n"
+
+
+@pytest.mark.parametrize("rule_kind", sorted(RULES))
+@pytest.mark.parametrize("scheme_kind", sorted(SCHEMES))
+def test_round_trip_every_kind(scheme_kind, rule_kind):
+    assert SCHEME_EXAMPLES.keys() == SCHEMES.keys() and RULE_EXAMPLES.keys() == RULES.keys()
+    runs = [parse_config_text(kind_config(s, rule_kind)) for s in SCHEME_EXAMPLES[scheme_kind]]
+    assert all(cfg == runs[0] for cfg in runs)  # pop's count form 60 is the fraction 0.6
+    assert type(runs[0].run_config().scheme) is SCHEMES[scheme_kind]
+    configs = list(runs)
+    if scheme_kind in SWEEP_EXAMPLES:
+        scheme = f"{{kind: {scheme_kind}}}"
+        configs.append(parse_config_text(kind_config(scheme, rule_kind, SWEEP_EXAMPLES[scheme_kind])))
+        assert configs[-1].sweep_spec().scheme_kind == scheme_kind
+    for cfg in configs:
+        assert type(cfg.run.rule) is RULES[rule_kind]
+        assert parse_config_text(emit_config(cfg)) == cfg
+
+
 def test_pop_count_form_is_converted():
     cfg = parse_config_text(
         "model: {side_length: 10, b: 1.8}\nscheme: {kind: pop, p_c: 85, theta: 4.5}\n"
         "rule: {kind: deterministic}\n"
     )
-    assert cfg.p_c == 0.85
+    assert cfg.run.scheme.p_c == 0.85
 
 
 def test_config_hash_ignores_output_section(tmp_path):
@@ -207,6 +252,26 @@ def test_cmd_run_missing_field_exits_config(tmp_path, capsys):
     )
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG
     assert "scheme.theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, scheme, expected",
+    [
+        ("{side_length: 2, b: 1.8}", "{kind: none}", ("model", "side_length")),
+        (
+            "{side_length: 10, b: 1.8, initial_coop_probability: 1.5}",
+            "{kind: none}",
+            ("model", "initial_coop_probability"),
+        ),
+        ("{side_length: 10, b: 1.8}", "{kind: neb, n_c: 3, theta: .nan}", ("scheme", "theta")),
+    ],
+)
+def test_cmd_run_invalid_value_exits_config(tmp_path, capsys, model, scheme, expected):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"model: {model}\nscheme: {scheme}\nrule: {{kind: deterministic}}\n")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(word in err for word in expected), err
 
 
 def test_cmd_run_unreadable_config_exits_io(tmp_path):

@@ -46,6 +46,18 @@ def test_scheme_validation():
         NebII(eps=-0.5)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_schemes_reject_non_finite_amounts(value):
+    for make in (
+        lambda v: Pop(p_c=0.5, theta=v),
+        lambda v: Neb(n_c=3, theta=v),
+        lambda v: NebI(eps=v),
+        lambda v: NebII(eps=v),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
+
+
 def test_pop_invests_in_every_cooperator():
     g = make_grid(10)
     out = apply_pop(g, Pop(p_c=1.0, theta=0.5))

@@ -56,6 +56,10 @@ def test_spec_validation():
         spec(replicates=0)
     with pytest.raises(ValueError):
         spec(scheme_kind="nope")
+    with pytest.raises(ValueError):
+        spec(theta_values=(4.5, float("inf")))  # a later theta is checked up front
+    with pytest.raises(ValueError):
+        spec(scheme_kind="none")  # no threshold axis to sweep
     spec(scheme_kind="neb_i", theta_values=(1.0,), threshold_values=(0.1, 0.5))
 
 
