@@ -34,6 +34,25 @@ SCHEMES = {
     "neb_ii": NebII(eps=0.5),
 }
 RULES = {"det": Deterministic(), "fermi": Fermi(K=0.3), "fermi_mu": Fermi(K=0.3, mu=0.01)}
+# Deterministic cases where an invested cooperator's score ties a defector's:
+# C(k) + 1 == D(k') = 2k' for (k, k') = (1, 1) and (3, 2) at b=2.0, and
+# C(k) + 0.5 == D(k') = 1.5k' for (1, 1) and (4, 3) at b=1.5.
+TIE_CASES = {
+    "pop_tie-det-b2.0": (Pop(p_c=1.0, theta=1.0), 2.0),
+    "neb_tie-det-b1.5": (Neb(n_c=4, theta=0.5), 1.5),
+}
+
+
+def _config(scheme, rule, b: float) -> RunConfig:
+    return RunConfig(
+        side_length=30,
+        payoff=PayoffParams(b=b),
+        scheme=scheme,
+        rule=rule,
+        generations=60,
+        measure_window=20,
+        seed=2021,
+    )
 
 
 def _cases() -> dict[str, RunConfig]:
@@ -42,15 +61,9 @@ def _cases() -> dict[str, RunConfig]:
         for rule_name, rule in RULES.items():
             # mutation only at the reference temptation, to keep the suite small
             for b in (1.8,) if rule_name == "fermi_mu" else (1.5, 1.8, 2.0):
-                cases[f"{scheme_name}-{rule_name}-b{b}"] = RunConfig(
-                    side_length=30,
-                    payoff=PayoffParams(b=b),
-                    scheme=scheme,
-                    rule=rule,
-                    generations=60,
-                    measure_window=20,
-                    seed=2021,
-                )
+                cases[f"{scheme_name}-{rule_name}-b{b}"] = _config(scheme, rule, b)
+    for name, (scheme, b) in TIE_CASES.items():
+        cases[name] = _config(scheme, Deterministic(), b)
     return cases
 
 
