@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .game import ScoreField
-from .grid import Grid, best_of, neighbour_field, where_cells, wrap_pad
+from .grid import Grid, best_of, neighbour_field, wrap_pad
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,9 @@ def step_deterministic(g: Grid, scores: ScoreField) -> Grid:
 
     Each agent adopts the strategy of the highest-scoring member of itself
     plus its four neighbours; ties prefer self, then the fixed N, E, S, W
-    order. Pure function of (g, scores).
+    order. Pure function of (g, scores). Only the order of the scores
+    matters: ``scores`` may be any per-cell array, of any dtype, whose
+    entries compare (``>`` and ``==``) as the scores do, such as their ranks.
     """
     _, best = best_of((scores, *neighbour_field(scores)), (g.cells, *g.neighbour_cells))
     return Grid(best)
@@ -93,10 +95,16 @@ def step_fermi(g: Grid, scores: ScoreField, rule: Fermi, rng: np.random.Generato
     nbr = np.array((-stride, 1, stride, -1))[pick]
     nbr += np.arange(stride * stride).reshape(stride, stride)[1:-1, 1:-1]
     nbr_strat = wrap_pad(g.cells).take(nbr)
-    nbr_score = wrap_pad(scores).take(nbr)
 
-    accept = u_acc < expit((nbr_score - scores) / rule.K)
-    next_cells = where_cells(accept, nbr_strat, g.cells)
+    # Acceptance can change only agents whose chosen neighbour plays the
+    # other strategy, so the logistic is evaluated for those alone.
+    differ = np.flatnonzero(nbr_strat != g.cells)
+    gap = wrap_pad(scores).take(nbr.take(differ))
+    gap -= scores.take(differ)
+    gap /= rule.K
+    copied = differ[u_acc.take(differ) < expit(gap, out=gap)]
+    next_cells = g.cells.copy()
+    next_cells.put(copied, nbr_strat.take(copied))
 
     if rule.mu > 0.0:
         # a mutant becomes C (1) when u_m < mu / 2, else D (0)

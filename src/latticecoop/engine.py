@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import Deterministic, Fermi, UpdateRule, step
-from .game import PayoffParams, compute_scores
+from .game import PayoffParams, compute_scores, score_ranks
 from .grid import MIN_SIDE_LENGTH, Grid, Strategy, coop_count, grid_hash, random_grid
 from .interference import InterferenceScheme, apply
 
@@ -103,13 +103,19 @@ def step_generation(
     """Advance one generation; returns (next grid, interference cost paid).
 
     Interference is suppressed entirely on homogeneous grids (absorbing
-    without mutation, so investing there is pure waste).
+    without mutation, so investing there is pure waste). Imitate-best needs
+    only the order of the scores, so after a flat investment (one amount to
+    a 0/1 mask) it runs on the uint8 ranks of the exact scores instead.
     """
     base = compute_scores(g, payoff)
     if is_homogeneous(g) is not None:
         return step(g, base, rule, rng), 0.0
     outcome = apply(scheme, g, base)
-    return step(g, base + outcome.surplus, rule, rng), outcome.generation_cost
+    if outcome.invested is not None and isinstance(rule, Deterministic):
+        scores = score_ranks(payoff, outcome.theta).take(g.code + 10 * outcome.invested)
+    else:
+        scores = base + outcome.surplus
+    return step(g, scores, rule, rng), outcome.generation_cost
 
 
 def run(config: RunConfig) -> RunResult:

@@ -9,6 +9,7 @@ base score is the sum of the four payoffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,15 +49,42 @@ def pair_payoff(me: Strategy, other: Strategy, params: PayoffParams) -> float:
     return params.b if other == Strategy.C else params.punishment
 
 
-def compute_scores(g: Grid, params: PayoffParams) -> ScoreField:
-    """Base score of every agent: sum of pair payoffs against its 4 neighbours.
+@lru_cache(maxsize=256)
+def score_table(params: PayoffParams) -> np.ndarray:
+    """The ten base scores, indexed by a cell's code ``5 * strategy + k``.
 
-    Pure function of (grid, params); no interference surplus included and no
-    self-interaction. A defector with k cooperating neighbours scores k*b +
-    (4-k)*P, a cooperator with k cooperating neighbours scores exactly k.
-    These ten values are looked up in a table indexed by 5 * strategy + k.
+    A defector with k cooperating neighbours scores k*b + (4-k)*P, a
+    cooperator with k cooperating neighbours scores exactly k.
     """
     k = np.arange(5)
     defect = k * params.b + (4 - k) * params.punishment
     table = np.concatenate((defect, k * REWARD + (4 - k) * SUCKER))
-    return table.take(sum(g.neighbour_cells) + 5 * g.cells)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=256)
+def score_ranks(params: PayoffParams, theta: float) -> np.ndarray:
+    """Dense uint8 ranks of the 20 scores ``table`` and ``table + theta``.
+
+    ``table`` is ``score_table(params)``; the ranks are indexed by
+    ``code + 10 * invested`` for a cell paid 0 or ``theta``. Equal
+    floats share a rank and the order is kept, so imitate-best picks the
+    same strategy from these ranks as from the float scores ``base + surplus``.
+    Ranked in Python: ``np.unique`` would first map ~0.5 MB of NumPy's sort code.
+    """
+    table = score_table(params)
+    scores = np.concatenate((table, table + theta)).tolist()
+    levels = sorted(set(scores))
+    ranks = np.array([levels.index(score) for score in scores], dtype=np.uint8)
+    ranks.setflags(write=False)
+    return ranks
+
+
+def compute_scores(g: Grid, params: PayoffParams) -> ScoreField:
+    """Base score of every agent: sum of pair payoffs against its 4 neighbours.
+
+    Pure function of (grid, params); no interference surplus included and no
+    self-interaction. Looked up in ``score_table`` by each cell's code.
+    """
+    return score_table(params).take(g.code)

@@ -59,6 +59,16 @@ class Grid:
         """N, E, S, W neighbour strategies, built once and shared within a generation."""
         return neighbour_field(self.cells)
 
+    @cached_property
+    def coop_neighbours(self) -> np.ndarray:
+        """Per cell, its number k of cooperating neighbours (uint8, 0..4)."""
+        return _frozen(sum(self.neighbour_cells))
+
+    @cached_property
+    def code(self) -> np.ndarray:
+        """Per cell, ``5 * strategy + k`` (uint8, 0..9): all its base score depends on."""
+        return _frozen(5 * self.cells + self.coop_neighbours)
+
     @property
     def side_length(self) -> int:
         return self.cells.shape[0]
@@ -74,6 +84,11 @@ class Grid:
         return self.cells.shape == other.cells.shape and bool(
             np.array_equal(self.cells, other.cells)
         )
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 def neighbours(i: int, side_length: int) -> tuple[int, int, int, int]:

@@ -21,7 +21,7 @@ input, so the per-agent grants are order-independent and reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Union
 
@@ -106,11 +106,15 @@ class InvestmentOutcome:
     """Per-agent surplus plus the decision-maker's total cost this generation.
 
     ``generation_cost`` is exactly ``surplus.sum()``; the constructor computes
-    it so the equality holds bit-for-bit.
+    it so the equality holds bit-for-bit. Flat schemes (none, pop, neb) pay
+    one amount ``theta`` to the agents in the 0/1 uint8 mask ``invested``,
+    so ``surplus`` is ``invested * theta``; the others leave ``invested`` None.
     """
 
     surplus: np.ndarray
     generation_cost: float
+    invested: np.ndarray | None = None
+    theta: float = 0.0
 
     @classmethod
     def from_surplus(cls, surplus: np.ndarray) -> "InvestmentOutcome":
@@ -118,18 +122,23 @@ class InvestmentOutcome:
         surplus.setflags(write=False)
         return cls(surplus=surplus, generation_cost=float(surplus.sum()))
 
+    @classmethod
+    def flat(cls, invested: np.ndarray, theta: float) -> "InvestmentOutcome":
+        """``theta`` to each agent whose ``invested`` entry is 1, nothing to the rest."""
+        return replace(cls.from_surplus(invested * theta), invested=invested, theta=theta)
+
 
 def apply_pop(g: Grid, scheme: Pop) -> InvestmentOutcome:
     """All-or-nothing: every cooperator gets theta iff x_C <= p_c * Z."""
     threshold_count = int(np.floor(scheme.p_c * g.size + _POP_COUNT_EPS))
     theta = scheme.theta if coop_count(g) <= threshold_count else 0.0
-    return InvestmentOutcome.from_surplus(g.cells * theta)  # C is 1, D is 0
+    return InvestmentOutcome.flat(g.cells, theta)  # C is 1, D is 0
 
 
 def apply_neb(g: Grid, scheme: Neb) -> InvestmentOutcome:
     """Cooperator i gets theta iff its cooperating-neighbour count is <= n_c."""
-    eligible = (g.cells == Strategy.C.value) & (sum(g.neighbour_cells) <= scheme.n_c)
-    return InvestmentOutcome.from_surplus(eligible * scheme.theta)
+    eligible = g.cells & (g.coop_neighbours <= scheme.n_c)  # C is 1, D is 0
+    return InvestmentOutcome.flat(eligible, scheme.theta)
 
 
 def _best_neighbour(g: Grid, base: ScoreField) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +193,7 @@ def apply_neb_ii(g: Grid, base: ScoreField, scheme: NebII) -> InvestmentOutcome:
 def apply(scheme: InterferenceScheme, g: Grid, base: ScoreField) -> InvestmentOutcome:
     """Dispatch to the scheme's rule; NoInterference pays nothing."""
     if isinstance(scheme, NoInterference):
-        return InvestmentOutcome.from_surplus(np.zeros(g.cells.shape))
+        return InvestmentOutcome.flat(np.zeros_like(g.cells), 0.0)
     if isinstance(scheme, Pop):
         return apply_pop(g, scheme)
     if isinstance(scheme, Neb):

@@ -9,6 +9,7 @@ schedule produces the same table.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -80,6 +81,8 @@ class SweepSpec:
 def _check_values(name: str, values: tuple[float, ...]) -> None:
     if not values:
         raise ValueError(f"{name} must be non-empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must all be finite, got {values}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must be strictly increasing (sorted, no duplicates)")
 

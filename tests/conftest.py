@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from latticecoop.game import PayoffParams, pair_payoff
 from latticecoop.grid import Grid, Strategy, neighbours
+from latticecoop.interference import Neb, NoInterference, Pop
 
 
 def grids(min_side=3, max_side=8):
@@ -94,6 +95,24 @@ def neb_ii_bruteforce(g: Grid, base: np.ndarray, eps: float) -> np.ndarray:
                 required = m if required is None else max(required, m)
         if required is not None:
             surplus[i] += max(0.0, required + eps - post[i])
+    return surplus.reshape(length, length)
+
+
+def flat_surplus_bruteforce(g: Grid, scheme) -> np.ndarray:
+    """Per-agent surplus of NoInterference, Pop or Neb, one agent at a time."""
+    length = g.side_length
+    flat = g.cells.reshape(-1)
+    surplus = np.zeros(g.size)
+    if isinstance(scheme, NoInterference):
+        return surplus.reshape(length, length)
+    # pop pays every cooperator while x_C <= p_c * Z; neb pays those with k <= n_c
+    pop_fires = isinstance(scheme, Pop) and flat.sum() <= np.floor(scheme.p_c * g.size + 1e-9)
+    for i in range(g.size):
+        if flat[i] != Strategy.C.value:
+            continue
+        k = sum(int(flat[j]) for j in neighbours(i, length))
+        if pop_fires or (isinstance(scheme, Neb) and k <= scheme.n_c):
+            surplus[i] = scheme.theta
     return surplus.reshape(length, length)
 
 

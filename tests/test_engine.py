@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latticecoop.dynamics import Deterministic, Fermi
 from latticecoop.engine import (
@@ -15,11 +17,17 @@ from latticecoop.engine import (
     step_generation,
     write_metrics_csv,
 )
-from latticecoop.game import PayoffParams
+from latticecoop.game import PayoffParams, compute_scores
 from latticecoop.grid import Grid, Strategy, grid_hash
 from latticecoop.interference import Neb, NoInterference, Pop
 
+from conftest import flat_surplus_bruteforce, grids, step_deterministic_bruteforce
+
 PAY = PayoffParams(b=1.8)
+# At b=1.5 and b=2.0 an invested cooperator's score k + theta equals a
+# defector's k'*b for theta in {0.5, 1.0, 1.5, 2.0}; b=1.8 is the reference.
+TIE_BS = (1.5, 1.8, 2.0)
+TIE_THETAS = (0.5, 1.0, 1.5, 2.0)
 
 
 def config(**kw):
@@ -209,6 +217,24 @@ def test_fermi_rule_never_reports_cycles():
             Termination.HOMOGENEOUS_C,
             Termination.HOMOGENEOUS_D,
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids(), st.sampled_from(TIE_THETAS) | st.floats(0.01, 6.0))
+def test_rank_path_matches_float_scores(g, theta):
+    # none, pop and neb step on uint8 score ranks under imitate-best; the next
+    # grid and the cost must be those of the float scores base + surplus
+    assume(0 < int(g.cells.sum()) < g.size)  # homogeneous grids skip interference
+    schemes = [NoInterference(), Pop(p_c=1.0, theta=theta), Pop(p_c=0.5, theta=theta)]
+    schemes += [Neb(n_c=n_c, theta=theta) for n_c in range(5)]
+    for b in TIE_BS:
+        payoff = PayoffParams(b=b)
+        for scheme in schemes:
+            surplus = flat_surplus_bruteforce(g, scheme)
+            expected = step_deterministic_bruteforce(g, compute_scores(g, payoff) + surplus)
+            nxt, cost = step_generation(g, payoff, scheme, Deterministic())
+            assert nxt == expected, (b, scheme)
+            assert cost == float(surplus.sum()), (b, scheme)
 
 
 def test_neb4_pop_trajectory_equivalence_lockstep():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecoop.analysis import lone_defector_grid
-from latticecoop.game import PayoffParams, compute_scores, pair_payoff
+from latticecoop.game import PayoffParams, compute_scores, pair_payoff, score_ranks, score_table
 from latticecoop.grid import Grid, Strategy, neighbours
 
 from conftest import grids, payoffs, scores_bruteforce
@@ -128,3 +128,23 @@ def test_default_params_score_formula(g):
     for i in range(g.size):
         k = sum(flat[j] == C.value for j in neighbours(i, g.side_length))
         assert scores[i] == (k if flat[i] == C.value else k * 1.7)
+
+
+@pytest.mark.parametrize("b, theta", [(2.0, 1.0), (1.5, 0.5), (1.8, 0.3), (1.8, 1e-300)])
+def test_score_ranks_share_ties_and_keep_order(b, theta):
+    params = PayoffParams(b=b)
+    table = score_table(params)
+    scores = np.concatenate((table, table + theta))  # indexed by code + 10 * invested
+    ranks = score_ranks(params, theta)
+    assert ranks.dtype == np.uint8 and sorted(set(ranks)) == list(range(len(set(scores))))
+    for i in range(20):
+        for j in range(20):
+            assert (ranks[i] == ranks[j]) == (scores[i] == scores[j])
+            assert (ranks[i] > ranks[j]) == (scores[i] > scores[j])
+
+
+def test_score_ranks_tie_invested_cooperator_with_defector():
+    # code 5*s + k: a cooperator with k=1 paid theta=1 (code 6 + 10) ties a
+    # defector with k'=1 (code 1) at b=2.0; at b=1.5, C(4) + 0.5 ties D(3)
+    assert score_ranks(PayoffParams(b=2.0), 1.0)[16] == score_ranks(PayoffParams(b=2.0), 1.0)[1]
+    assert score_ranks(PayoffParams(b=1.5), 0.5)[19] == score_ranks(PayoffParams(b=1.5), 0.5)[3]

@@ -60,6 +60,9 @@ def test_spec_validation():
         spec(theta_values=(4.5, float("inf")))  # a later theta is checked up front
     with pytest.raises(ValueError):
         spec(scheme_kind="none")  # no threshold axis to sweep
+    for placeholder in (float("nan"), float("inf")):  # theta never reaches NebI, so checked here
+        with pytest.raises(ValueError):
+            spec(scheme_kind="neb_i", theta_values=(placeholder,), threshold_values=(0.1,))
     spec(scheme_kind="neb_i", theta_values=(1.0,), threshold_values=(0.1, 0.5))
 
 
