@@ -48,6 +48,7 @@ def main() -> int:
         payoff=PayoffParams(b=args.b),
         scheme=NoInterference(),
         rule=Deterministic(),
+        seed=args.base_seed,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -59,7 +60,6 @@ def main() -> int:
             theta_values=thetas,
             threshold_values=thresholds,
             replicates=replicates,
-            base_seed=args.base_seed,
         )
         t0 = time.perf_counter()
         cells = run_sweep(

@@ -15,12 +15,13 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dynamics import step_deterministic
-from .engine import RunConfig, RunResult, run_replicates
+from .engine import RunConfig, RunResult, replicate_configs, run_many
 from .game import B_MAX, B_MIN, PayoffParams, compute_scores
 from .grid import Grid, Strategy, coop_count
 from .interference import InterferenceScheme, Pop, apply
@@ -121,7 +122,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.mismatches
+        """At least one theta was compared, and none contradicted the closed form."""
+        return bool(self.checked_thetas) and not self.mismatches
 
 
 def verify_thresholds(b: float, n_points: int = 50, side_length: int = 10) -> VerificationReport:
@@ -132,6 +134,8 @@ def verify_thresholds(b: float, n_points: int = 50, side_length: int = 10) -> Ve
     since the mix of strict and non-strict threshold inequalities leaves the
     exact boundary direction ambiguous there.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     report = thresholds(b)
     low, high = 4 * b - 5, 4 * b - 1
     grid_points = np.linspace(low, high, n_points + 2)[1:-1]
@@ -206,11 +210,11 @@ def cost_comparison(
     labels = [label for label, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValueError(f"labels must be distinct, got {labels}")
-    table = []
-    for label, config in configs:
-        results = run_replicates(config, n, base_seed, workers=workers)
-        table.append((label, float(np.mean([r.total_cost for r in results]))))
-    return table
+    jobs = [job for _, config in configs for job in replicate_configs(config, n, base_seed)]
+    results = run_many(jobs, workers)
+    return [
+        (label, float(np.mean([r.total_cost for r in islice(results, n)]))) for label in labels
+    ]
 
 
 SWEEP_HEADER = (

@@ -1,7 +1,7 @@
 """Command-line surface: run, sweep, verify, snapshot.
 
-Exit codes: 0 success, 1 verification contradiction or run failure,
-2 config error, 3 I/O error. All outputs of one invocation land under
+Exit codes: 0 success, 1 verification contradiction (or nothing checked)
+or run failure, 2 config error, 3 I/O error. All outputs of one invocation land under
 ``<output.directory>/<label>-<config hash>/``; identical inputs reproduce
 identical data files.
 """
@@ -12,8 +12,10 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
+from . import sweep  # called as sweep.<name>, so a wrapped sweep.run_sweep is seen
 from .analysis import SWEEP_HEADER, sweep_row, verify_thresholds
 from .config import (
     ConfigError,
@@ -33,7 +35,10 @@ EXIT_IO = 3
 
 
 def _default_workers() -> int:
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,76 +74,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare_run_dir(config: ExperimentConfig) -> Path:
+@contextmanager
+def _staged(config: ExperimentConfig):
+    """Yield ``stage(name) -> path`` for the command's outputs in its run directory.
+
+    Each output is written as ``<name>.incomplete`` and all are renamed to
+    their final names only once the block completes, so an aborted command
+    leaves nothing that looks final. ``config.yaml`` is staged first, so an
+    unwritable output directory fails before any run starts.
+    """
     run_dir = Path(config.output_dir) / f"{config.label}-{config_hash(config)}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.yaml").write_text(emit_config(config))
-    return run_dir
+    staged: list[Path] = []
+
+    def stage(name: str) -> Path:
+        staged.append(run_dir / f"{name}.incomplete")
+        return staged[-1]
+
+    stage("config.yaml").write_text(emit_config(config))
+    yield stage
+    for path in staged:
+        path.replace(path.with_suffix(""))
+    print(f"outputs written to {run_dir}")
 
 
 def cmd_run(args) -> int:
     config = with_overrides(load_config(args.config), seed=args.seed, output_dir=args.out)
     run_config = config.run_config()
-    run_dir = _prepare_run_dir(config)
-
-    results = run_replicates(run_config, config.replicates, run_config.seed, workers=args.workers)
-    labelled = [(f"rep{i:03d}", result) for i, result in enumerate(results)]
-    # Data files are written under .incomplete names and renamed only once all
-    # of them are written, so an aborted run leaves nothing that looks final.
-    partials = [run_dir / "metrics.csv.incomplete"]
-    write_metrics_csv(partials[0], labelled)
-    for run_id, result in labelled:
-        partials.append(run_dir / f"final_grid_{run_id}.txt.incomplete")
-        partials[-1].write_text(format_snapshot(result.final_grid))
-    for partial in partials:
-        partial.replace(partial.with_suffix(""))
-    for run_id, result in labelled:
-        print(
-            f"{run_id}: coop={result.stationary_coop_fraction} "
-            f"total_cost={result.total_cost} termination={result.termination.value}"
-        )
-    if len(results) > 1:
-        mean_coop = sum(r.stationary_coop_fraction for r in results) / len(results)
-        mean_cost = sum(r.total_cost for r in results) / len(results)
-        print(f"mean over {len(results)} replicates: coop={mean_coop} total_cost={mean_cost}")
-    print(f"outputs written to {run_dir}")
+    with _staged(config) as stage:
+        results = run_replicates(run_config, config.replicates, run_config.seed, args.workers)
+        labelled = [(f"rep{i:03d}", result) for i, result in enumerate(results)]
+        write_metrics_csv(stage("metrics.csv"), labelled)
+        for run_id, result in labelled:
+            stage(f"final_grid_{run_id}.txt").write_text(format_snapshot(result.final_grid))
+        for run_id, result in labelled:
+            print(
+                f"{run_id}: coop={result.stationary_coop_fraction} "
+                f"total_cost={result.total_cost} termination={result.termination.value}"
+            )
+        if len(results) > 1:
+            mean_coop = sum(r.stationary_coop_fraction for r in results) / len(results)
+            mean_cost = sum(r.total_cost for r in results) / len(results)
+            print(f"mean over {len(results)} replicates: coop={mean_coop} total_cost={mean_cost}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    from .sweep import run_sweep, write_metadata_json
-
     config = with_overrides(load_config(args.config), seed=args.seed, output_dir=args.out)
     spec = config.sweep_spec()
-    run_dir = _prepare_run_dir(config)
-    write_metadata_json(run_dir / "metadata.json", spec)
+    with _staged(config) as stage:
+        sweep.write_metadata_json(stage("metadata.json"), spec)
+        with open(stage("sweep.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SWEEP_HEADER)
 
-    # Rows stream into a file suffixed .incomplete, renamed only on success,
-    # so an aborted sweep is clearly marked.
-    partial = run_dir / "sweep.csv.incomplete"
-    final = run_dir / "sweep.csv"
-    if final.exists():
-        final.unlink()
-    with open(partial, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
+            def progress(done, total, cell):
+                writer.writerow(sweep_row(cell))
+                fh.flush()
+                print(
+                    f"cell {done}/{total}: theta={cell.theta} threshold={cell.threshold} "
+                    f"coop={cell.mean_coop_fraction} cost={cell.mean_total_cost}"
+                )
 
-        def progress(done, total, cell):
-            writer.writerow(sweep_row(cell))
-            fh.flush()
-            print(
-                f"cell {done}/{total}: theta={cell.theta} threshold={cell.threshold} "
-                f"coop={cell.mean_coop_fraction} cost={cell.mean_total_cost}"
-            )
-
-        run_sweep(spec, workers=args.workers, progress=progress)
-    partial.rename(final)
-    print(f"outputs written to {run_dir}")
+            sweep.run_sweep(spec, workers=args.workers, progress=progress)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    failures = 0
+    passed = True
     for b in args.b_values:
         try:
             result = verify_thresholds(b, n_points=args.points)
@@ -146,7 +149,9 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"b={b}: {exc}") from exc
         rep = result.report
         band = rep.pop_stable_band
-        status = "OK" if result.passed else f"{len(result.mismatches)} CONTRADICTIONS"
+        status = "OK" if result.passed else "NOTHING CHECKED"
+        if result.mismatches:
+            status = f"{len(result.mismatches)} CONTRADICTIONS"
         print(
             f"b={b}: pop_escape={rep.pop_escape_threshold} "
             f"stable_band=({band[0]}, {band[1]}] neb3_escape={rep.neb3_escape_threshold} "
@@ -154,12 +159,12 @@ def cmd_verify(args) -> int:
             f"[{status}]"
         )
         for miss in result.mismatches:
-            failures += 1
             print(
                 f"  contradiction: b={miss.b} theta={miss.theta} "
                 f"expected={miss.expected.value} observed={miss.observed.value}"
             )
-    return EXIT_OK if failures == 0 else EXIT_FAIL
+        passed = passed and result.passed
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_snapshot(args) -> int:

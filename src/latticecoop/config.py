@@ -247,7 +247,6 @@ def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
                 theta_values=thetas,
                 threshold_values=thresholds,
                 replicates=replicates,
-                base_seed=base_seed,
             )
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
@@ -330,7 +329,7 @@ def with_overrides(
             run = replace(config.run, seed=seed)
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from exc
-        sweep = None if config.sweep is None else replace(config.sweep, base=run, base_seed=seed)
+        sweep = None if config.sweep is None else replace(config.sweep, base=run)
         config = replace(config, run=run, sweep=sweep)
     if output_dir is not None:
         config = replace(config, output_dir=output_dir)

@@ -19,7 +19,7 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -223,15 +223,22 @@ def replicate_configs(config: RunConfig, n: int, base_seed: int) -> list[RunConf
     return [replace(config, seed=derive_seed(base_seed, i)) for i in range(n)]
 
 
-def run_replicates(
-    config: RunConfig, n: int, base_seed: int, workers: int = 1
-) -> list[RunResult]:
+def run_many(configs: Sequence[RunConfig], workers: int = 1) -> Iterator[RunResult]:
+    """Lazily yield each config's RunResult, in input order however the runs are scheduled.
+
+    Serial when ``workers <= 1``, else on one process pool with one run per
+    task, so a worker holds at most one finished result.
+    """
+    if workers <= 1 or len(configs) <= 1:
+        yield from map(run, configs)
+        return
+    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
+        yield from pool.map(run, configs)
+
+
+def run_replicates(config: RunConfig, n: int, base_seed: int, workers: int = 1) -> list[RunResult]:
     """n independent runs, ordered by replicate index regardless of scheduling."""
-    configs = replicate_configs(config, n, base_seed)
-    if workers <= 1 or n == 1:
-        return [run(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-        return list(pool.map(run, configs, chunksize=max(1, n // (4 * workers))))
+    return list(run_many(replicate_configs(config, n, base_seed), workers))
 
 
 METRICS_HEADER = ("run_id", "generation", "coop_count", "coop_fraction", "gen_cost", "cum_cost")

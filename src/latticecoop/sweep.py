@@ -1,6 +1,6 @@
 """Cartesian (theta x threshold) parameter sweeps with per-cell seeding.
 
-Every cell's replicate seeds derive from (base_seed, theta value bits,
+Every cell's replicate seeds derive from (base seed, theta value bits,
 threshold value bits, replicate index), so cells are independent: adding or
 removing cells never changes another cell's numbers, and any execution
 schedule produces the same table.
@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
+from itertools import islice, product
 from typing import get_type_hints
 
 import numpy as np
 
 from .analysis import AggregateCell, aggregate
-from .engine import RunConfig, derive_seed, run
+from .engine import RunConfig, derive_seed, run, run_many  # noqa: F401 (perfbench traces sweep.run)
 from .interference import SCHEMES, InterferenceScheme
 
 ARTIFACT_VERSION = "0.1.0"
@@ -33,6 +34,7 @@ class SweepSpec:
     integer n_c levels for neb, eps margins for neb_i / neb_ii); each theta
     value sets ``theta``. Families without ``theta`` take a single
     placeholder theta value, carried into the output table unchanged.
+    Cell seeds derive from ``base.seed``; the base scheme is ignored.
     """
 
     base: RunConfig
@@ -40,7 +42,6 @@ class SweepSpec:
     theta_values: tuple[float, ...]
     threshold_values: tuple[float, ...]
     replicates: int
-    base_seed: int
 
     def __post_init__(self) -> None:
         family = SCHEMES.get(self.scheme_kind)
@@ -93,49 +94,30 @@ def _value_key(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
-def _cell_configs(spec: SweepSpec, ti: int, hi: int) -> list[RunConfig]:
-    theta = spec.theta_values[ti]
-    threshold = spec.threshold_values[hi]
-    scheme = spec.cell_scheme(theta, threshold)
-    return [
-        replace(
-            spec.base,
-            scheme=scheme,
-            seed=derive_seed(spec.base_seed, _value_key(theta), _value_key(threshold), rep),
-        )
-        for rep in range(spec.replicates)
-    ]
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[AggregateCell]:
     """One AggregateCell per (theta, threshold) pair, lexicographic order.
 
+    Every cell's replicates go into one job stream, so workers never wait at
+    a cell boundary; results are read back and aggregated one cell at a time.
     ``progress`` is called as progress(done, total, cell) after each cell.
     """
-    cell_indices = [
-        (ti, hi)
-        for ti in range(len(spec.theta_values))
-        for hi in range(len(spec.threshold_values))
+    points = list(product(spec.theta_values, spec.threshold_values))
+    configs = [
+        replace(
+            spec.base,
+            scheme=spec.cell_scheme(theta, threshold),
+            seed=derive_seed(spec.base.seed, _value_key(theta), _value_key(threshold), rep),
+        )
+        for theta, threshold in points
+        for rep in range(spec.replicates)
     ]
     cells: list[AggregateCell] = []
-    if workers > 1:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    else:
-        pool = None
-    try:
-        for done, (ti, hi) in enumerate(cell_indices, start=1):
-            configs = _cell_configs(spec, ti, hi)
-            if pool is None:
-                results = [run(c) for c in configs]
-            else:
-                results = list(pool.map(run, configs))
-            cell = aggregate(results, spec.theta_values[ti], spec.threshold_values[hi])
-            cells.append(cell)
+    # closing() cancels the queued runs if aggregate or progress raises.
+    with closing(run_many(configs, workers)) as results:
+        for done, (theta, threshold) in enumerate(points, start=1):
+            cells.append(aggregate(list(islice(results, spec.replicates)), theta, threshold))
             if progress is not None:
-                progress(done, len(cell_indices), cell)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                progress(done, len(points), cells[-1])
     return cells
 
 
@@ -149,7 +131,7 @@ def sweep_metadata(spec: SweepSpec) -> dict:
         "theta_values": list(spec.theta_values),
         "threshold_values": list(spec.threshold_values),
         "replicates": spec.replicates,
-        "base_seed": spec.base_seed,
+        "base_seed": base.seed,
         "cost_normalisation": "raw totals (no 1e7 division applied)",
         "run_config": {
             "side_length": base.side_length,

@@ -14,7 +14,7 @@ from latticecoop.analysis import (
     verify_thresholds,
     write_sweep_csv,
 )
-from latticecoop.dynamics import Deterministic
+from latticecoop.dynamics import Deterministic, Fermi
 from latticecoop.engine import RunConfig, run_replicates
 from latticecoop.game import PayoffParams
 from latticecoop.grid import coop_count
@@ -78,6 +78,13 @@ def test_verify_thresholds_across_b(b):
     assert len(report.checked_thetas) + len(report.skipped_thetas) == 50
     # the guard band only drops a handful of near-boundary points
     assert len(report.skipped_thetas) <= 6
+
+
+def test_verify_thresholds_needs_a_checked_point():
+    with pytest.raises(ValueError, match="n_points"):
+        verify_thresholds(1.8, n_points=0)
+    lone = verify_thresholds(1.8, n_points=1)  # the single point is the boundary 4b - 3
+    assert lone.checked_thetas == () and not lone.mismatches and not lone.passed
 
 
 def test_verify_thresholds_scaling_invariance():
@@ -149,6 +156,17 @@ def test_cost_comparison_deterministic_and_labelled():
     table_b = cost_comparison(configs, n=3, base_seed=1)
     assert table_a == table_b
     assert [label for label, _ in table_a] == ["neb3", "neb4"]
+
+
+def test_cost_comparison_worker_count_invariance():
+    pay = PayoffParams(b=1.8)
+    configs = [
+        ("pop", RunConfig(side_length=12, payoff=pay, scheme=Pop(p_c=0.6, theta=2.0), rule=Fermi(K=0.3))),
+        ("neb3", RunConfig(side_length=12, payoff=pay, scheme=Neb(n_c=3, theta=5.3), rule=Deterministic())),
+    ]
+    assert cost_comparison(configs, n=3, base_seed=2, workers=1) == cost_comparison(
+        configs, n=3, base_seed=2, workers=2
+    )
 
 
 def test_cost_comparison_rejects_duplicate_labels():

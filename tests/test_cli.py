@@ -2,7 +2,8 @@ import csv
 
 import pytest
 
-from latticecoop.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from latticecoop.analysis import sweep_row
+from latticecoop.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from latticecoop.config import (
     ConfigError,
     config_hash,
@@ -229,7 +230,45 @@ def test_cmd_run_failure_mid_write_leaves_no_final_file(tmp_path, monkeypatch):
     assert main(["run", "--config", str(path)]) == EXIT_IO
     (run_dir,) = run_dirs(tmp_path)
     names = sorted(p.name for p in run_dir.iterdir())
-    assert names == ["config.yaml", "final_grid_rep000.txt.incomplete", "metrics.csv.incomplete"]
+    assert names == [
+        "config.yaml.incomplete",
+        "final_grid_rep000.txt.incomplete",
+        "metrics.csv.incomplete",
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cmd_sweep_failure_mid_table_leaves_no_final_file(tmp_path, monkeypatch, workers):
+    import latticecoop.cli as cli_module
+
+    rows = []
+
+    def failing_row(cell):
+        if rows:
+            raise OSError("disk full")  # the second table row fails
+        rows.append(cell)
+        return sweep_row(cell)
+
+    monkeypatch.setattr(cli_module, "sweep_row", failing_row)
+    path = write_config(tmp_path, SWEEP_CONFIG)
+    assert main(["sweep", "--config", str(path), "--workers", str(workers)]) == EXIT_IO
+    (run_dir,) = run_dirs(tmp_path)
+    names = sorted(p.name for p in run_dir.iterdir())
+    assert names == ["config.yaml.incomplete", "metadata.json.incomplete", "sweep.csv.incomplete"]
+    with open(run_dir / "sweep.csv.incomplete", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 2  # header and the first cell's row
+
+
+def test_cmd_run_unwritable_output_fails_before_any_run(tmp_path, monkeypatch):
+    import latticecoop.cli as cli_module
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the output directory was written")
+
+    monkeypatch.setattr(cli_module, "run_replicates", no_run)
+    (tmp_path / "runs").write_text("a file where the output directory should go")
+    path = write_config(tmp_path, RUN_CONFIG)
+    assert main(["run", "--config", str(path)]) == EXIT_IO
 
 
 def test_cmd_run_seed_override_changes_stochastic_output(tmp_path, capsys):
@@ -318,6 +357,18 @@ def test_cmd_verify_passes_for_valid_b(capsys):
 
 def test_cmd_verify_rejects_bad_b(capsys):
     assert main(["verify", "0.9"]) == EXIT_CONFIG
+
+
+def test_cmd_verify_rejects_empty_theta_grid(capsys):
+    assert main(["verify", "1.8", "--points", "0"]) == EXIT_CONFIG
+    assert "n_points" in capsys.readouterr().err
+
+
+def test_cmd_verify_fails_when_nothing_is_checked(capsys):
+    # one point is the interval's midpoint 4b - 3, a boundary, so it is skipped
+    assert main(["verify", "1.8", "--points", "1"]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "checked=0 skipped=1 [NOTHING CHECKED]" in out
 
 
 def test_cmd_snapshot_round_trip(tmp_path, capsys):

@@ -26,12 +26,11 @@ def base_config(**kw):
 
 def spec(**kw):
     defaults = dict(
-        base=base_config(),
+        base=base_config(seed=77),
         scheme_kind="neb",
         theta_values=(4.5, 5.3),
         threshold_values=(2.0, 3.0),
         replicates=2,
-        base_seed=77,
     )
     defaults.update(kw)
     return SweepSpec(**defaults)
@@ -68,11 +67,11 @@ def test_spec_validation():
 
 def test_single_cell_single_replicate_equals_engine_run():
     table = run_sweep(
-        spec(theta_values=(5.3,), threshold_values=(3.0,), replicates=1, base_seed=9)
+        spec(base=base_config(seed=9), theta_values=(5.3,), threshold_values=(3.0,), replicates=1)
     )
     assert len(table) == 1
     cell = table[0]
-    # documented derivation: (base_seed, theta bits, threshold bits, replicate)
+    # documented derivation: (base seed, theta bits, threshold bits, replicate)
     key = lambda v: int(np.float64(v).view(np.uint64))
     direct = run(
         replace(
@@ -120,6 +119,16 @@ def test_progress_callback_sees_every_cell():
     assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
 
+def test_sweep_aggregates_each_cell_before_running_the_next(monkeypatch):
+    import latticecoop.engine as engine
+
+    ran = []
+    monkeypatch.setattr(engine, "run", lambda config, run=engine.run: ran.append(config) or run(config))
+    seen = []
+    run_sweep(spec(), progress=lambda done, total, cell: seen.append(len(ran)))
+    assert seen == [2, 4, 6, 8]  # two replicates per cell, run only as each cell is read
+
+
 def test_neb_i_sweep_uses_eps_thresholds():
     table = run_sweep(
         spec(scheme_kind="neb_i", theta_values=(1.0,), threshold_values=(0.1, 0.5))
@@ -131,11 +140,10 @@ def test_neb_threshold_landscape():
     # above the n_c=3 escape threshold, only watching-the-frontier levels
     # n_c >= 3 reach full cooperation; lower levels sustain a partial state
     s = spec(
-        base=base_config(side_length=50, generations=100, measure_window=20),
+        base=base_config(side_length=50, generations=100, measure_window=20, seed=14),
         theta_values=(5.3,),
         threshold_values=(1.0, 2.0, 3.0, 4.0),
         replicates=3,
-        base_seed=14,
     )
     by_level = {cell.threshold: cell.mean_coop_fraction for cell in run_sweep(s)}
     assert by_level[3.0] == 1.0 and by_level[4.0] == 1.0
