@@ -20,11 +20,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import step_deterministic
-from .engine import RunConfig, RunResult, replicate_configs, run_many
-from .game import B_MAX, B_MIN, PayoffParams, compute_scores
+from .dynamics import Deterministic
+from .engine import RunConfig, RunResult, replicate_configs, run_many, step_generation
+from .game import B_MAX, B_MIN, PayoffParams
 from .grid import Grid, Strategy, coop_count
-from .interference import InterferenceScheme, Pop, apply
+from .interference import InterferenceScheme, Pop
 
 # Half-width of the guard band around the closed-form boundaries inside
 # which one-step outcomes are direction-ambiguous and not compared.
@@ -87,9 +87,7 @@ def microscopic_check(
     path).
     """
     g = lone_defector_grid(side_length)
-    base = compute_scores(g, PayoffParams(b=b))
-    outcome = apply(scheme, g, base)
-    after = step_deterministic(g, base + outcome.surplus)
+    after, _cost = step_generation(g, PayoffParams(b=b), scheme, Deterministic())
     before_coop = coop_count(g)
     after_coop = coop_count(after)
     if after == g:

@@ -41,6 +41,12 @@ def _default_workers() -> int:
         return os.cpu_count() or 1
 
 
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticecoop",
@@ -55,13 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config file (YAML)")
     p_run.add_argument("--seed", type=int, default=None, help="override protocol.base_seed")
     p_run.add_argument("--out", default=None, help="override output.directory")
-    p_run.add_argument("--workers", type=int, default=_default_workers())
+    p_run.add_argument("--workers", type=positive_int, default=_default_workers())
 
     p_sweep = sub.add_parser("sweep", help="run the configured (theta x threshold) sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--seed", type=int, default=None, help="override protocol.base_seed")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--workers", type=int, default=_default_workers())
+    p_sweep.add_argument("--workers", type=positive_int, default=_default_workers())
 
     p_verify = sub.add_parser(
         "verify", help="check one-step simulations against the closed-form thresholds"

@@ -16,10 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-# Fixed neighbour order used for iteration and tie-breaking.
-NEIGHBOUR_ORDER = ("north", "east", "south", "west")
-NUM_NEIGHBOURS = 4
-
 MIN_SIDE_LENGTH = 3  # below this the four neighbours are not distinct
 
 
@@ -158,7 +154,7 @@ def grid_hash(g: Grid) -> int:
 
     blake2b (digest_size=8) over the side length as an 8-byte little-endian
     unsigned integer followed by the row-major uint8 cell bytes. Stable
-    across runs and platforms; used for cycle detection and output naming.
+    across runs and platforms.
     """
     h = hashlib.blake2b(digest_size=8)
     h.update(g.side_length.to_bytes(8, "little"))

@@ -19,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .analysis import AggregateCell, aggregate
-from .engine import RunConfig, derive_seed, run, run_many  # noqa: F401 (perfbench traces sweep.run)
+from .engine import RunConfig, derive_seed, run_many
 from .interference import SCHEMES, InterferenceScheme
 
 ARTIFACT_VERSION = "0.1.0"

@@ -349,6 +349,17 @@ def test_cmd_sweep_without_sweep_section(tmp_path):
     assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, template", [("run", RUN_CONFIG), ("sweep", SWEEP_CONFIG)])
+def test_cmd_rejects_workers_below_one(tmp_path, capsys, command, template):
+    path = write_config(tmp_path, template)
+    for workers in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--workers", workers])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()  # rejected before any output directory
+
+
 def test_cmd_verify_passes_for_valid_b(capsys):
     assert main(["verify", "1.8", "--points", "20"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -18,10 +18,17 @@ from latticecoop.engine import (
     write_metrics_csv,
 )
 from latticecoop.game import PayoffParams, compute_scores
-from latticecoop.grid import Grid, Strategy, grid_hash
-from latticecoop.interference import Neb, NoInterference, Pop
+from latticecoop.grid import Grid, Strategy, grid_hash, random_grid
+from latticecoop.interference import Neb, NebI, NebII, NoInterference, Pop
 
-from conftest import flat_surplus_bruteforce, grids, step_deterministic_bruteforce
+from conftest import (
+    flat_surplus_bruteforce,
+    grids,
+    neb_i_bruteforce,
+    neb_ii_bruteforce,
+    scores_bruteforce,
+    step_deterministic_bruteforce,
+)
 
 PAY = PayoffParams(b=1.8)
 # At b=1.5 and b=2.0 an invested cooperator's score k + theta equals a
@@ -285,18 +292,75 @@ def test_neb3_threshold_robust_at_l50():
     assert all(r.termination == Termination.HOMOGENEOUS_C for r in results)
 
 
-def test_cycle_detection_survives_digest_collisions(monkeypatch):
-    # with every digest forced equal, cycles must still be found only by the
-    # byte-for-byte state comparison behind the digest
-    import latticecoop.engine as engine_module
+def _surplus_bruteforce(g, base, scheme):
+    if int(g.cells.sum()) in (0, g.size):
+        return np.zeros_like(base)  # interference is suppressed on homogeneous grids
+    if isinstance(scheme, NebI):
+        return neb_i_bruteforce(g, base, scheme.eps)
+    if isinstance(scheme, NebII):
+        return neb_ii_bruteforce(g, base, scheme.eps)
+    return flat_surplus_bruteforce(g, scheme)
 
-    cfg, honest = _find_cyclic_run()
-    monkeypatch.setattr(engine_module, "grid_hash", lambda g: 0)
-    collided = run(cfg)
-    assert collided.termination == Termination.CYCLE_DETECTED
-    assert collided.cycle_period == honest.cycle_period
-    assert collided.records == honest.records
-    assert collided.final_grid == honest.final_grid
+
+AMOUNTS = st.sampled_from(TIE_THETAS) | st.floats(0.01, 6.0)
+ANY_SCHEME = st.one_of(
+    st.just(NoInterference()),
+    st.builds(Pop, p_c=st.floats(0.0, 1.0), theta=AMOUNTS),
+    st.builds(Neb, n_c=st.integers(0, 4), theta=AMOUNTS),
+    st.builds(NebI, eps=AMOUNTS),
+    st.builds(NebII, eps=AMOUNTS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    side_length=st.integers(3, 8),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+    b=st.sampled_from(TIE_BS),
+    scheme=ANY_SCHEME,
+    early_stop=st.booleans(),
+    generations=st.integers(1, 30),
+    measure_window=st.integers(1, 10),
+)
+def test_cycle_detection_matches_bruteforce_first_repeat(
+    side_length, p, seed, b, scheme, early_stop, generations, measure_window
+):
+    # replay the deterministic trajectory with the brute-force oracles, keep
+    # every grid, and stop at the first state equal to an earlier one
+    cfg = RunConfig(
+        side_length=side_length,
+        payoff=PayoffParams(b=b),
+        scheme=scheme,
+        rule=Deterministic(),
+        generations=generations,
+        measure_window=measure_window,
+        seed=seed,
+        initial_coop_probability=p,
+        early_stop_on_homogeneous=early_stop,
+    )
+    g = random_grid(side_length, p, np.random.default_rng(seed))
+    states: list[Grid] = []
+    counts: list[int] = []
+    termination, period = Termination.COMPLETED, None
+    for generation in range(generations + measure_window):
+        if g in states:
+            termination, period = Termination.CYCLE_DETECTED, generation - states.index(g)
+            break
+        states.append(g)
+        x_c = int(g.cells.sum())
+        counts.append(x_c)
+        if early_stop and x_c in (0, g.size):
+            termination = Termination.HOMOGENEOUS_C if x_c else Termination.HOMOGENEOUS_D
+            break
+        base = scores_bruteforce(g, cfg.payoff)
+        g = step_deterministic_bruteforce(g, base + _surplus_bruteforce(g, base, scheme))
+
+    result = run(cfg)
+    assert result.termination == termination
+    assert result.cycle_period == period
+    assert [rec.coop_count for rec in result.records] == counts
+    assert result.final_grid == g
 
 
 def test_metrics_csv_round_trip(tmp_path):
