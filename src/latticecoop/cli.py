@@ -23,6 +23,7 @@ from .config import (
     config_hash,
     emit_config,
     load_config,
+    read_utf8,
     with_overrides,
 )
 from .engine import run_replicates, write_metrics_csv
@@ -97,7 +98,7 @@ def _staged(config: ExperimentConfig):
         staged.append(run_dir / f"{name}.incomplete")
         return staged[-1]
 
-    stage("config.yaml").write_text(emit_config(config))
+    stage("config.yaml").write_text(emit_config(config), encoding="utf-8")
     yield stage
     for path in staged:
         path.replace(path.with_suffix(""))
@@ -112,7 +113,9 @@ def cmd_run(args) -> int:
         labelled = [(f"rep{i:03d}", result) for i, result in enumerate(results)]
         write_metrics_csv(stage("metrics.csv"), labelled)
         for run_id, result in labelled:
-            stage(f"final_grid_{run_id}.txt").write_text(format_snapshot(result.final_grid))
+            stage(f"final_grid_{run_id}.txt").write_text(
+                format_snapshot(result.final_grid), encoding="utf-8"
+            )
         for run_id, result in labelled:
             print(
                 f"{run_id}: coop={result.stationary_coop_fraction} "
@@ -174,8 +177,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
-    with open(args.path) as fh:
-        text = fh.read()
+    text = read_utf8(args.path, f"snapshot {args.path}")
     try:
         g = parse_snapshot(text)
     except ValueError as exc:

@@ -268,9 +268,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return parse_config(data)
 
 
+def read_utf8(path, what: str) -> str:
+    """The text of ``path``; a file that is not UTF-8 is a ConfigError about ``what``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what}: not UTF-8 text ({exc})") from exc
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_utf8(path, "config"))
 
 
 def config_dict(config: ExperimentConfig) -> dict:

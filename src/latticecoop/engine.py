@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import Deterministic, Fermi, UpdateRule, step
-from .game import PayoffParams, compute_scores, score_ranks
+from .game import PayoffParams, cell_ranks, compute_scores, rank_table
 from .grid import MIN_SIDE_LENGTH, Grid, Strategy, coop_count, random_grid
 from .grid import grid_hash  # noqa: F401 (perfbench looks grid.grid_hash up here only)
 from .interference import InterferenceScheme, apply
@@ -105,15 +105,16 @@ def step_generation(
 
     Interference is suppressed entirely on homogeneous grids (absorbing
     without mutation, so investing there is pure waste). Imitate-best needs
-    only the order of the scores, so after a flat investment (one amount to
-    a 0/1 mask) it runs on the uint8 ranks of the exact scores instead.
+    only the order of the scores, so after a flat investment (where a cell's
+    score follows from its code) it runs on the uint8 ranks of the exact
+    scores instead.
     """
     base = compute_scores(g, payoff)
     if is_homogeneous(g) is not None:
         return step(g, base, rule, rng), 0.0
     outcome = apply(scheme, g, base)
-    if outcome.invested is not None and isinstance(rule, Deterministic):
-        scores = score_ranks(payoff, outcome.theta).take(g.code + 10 * outcome.invested)
+    if outcome.n_c is not None and isinstance(rule, Deterministic):
+        scores = cell_ranks(g.code, rank_table(payoff, outcome.theta, outcome.n_c))
     else:
         scores = base + outcome.surplus
     return step(g, scores, rule, rng), outcome.generation_cost

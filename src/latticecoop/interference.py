@@ -107,14 +107,15 @@ class InvestmentOutcome:
 
     ``generation_cost`` is exactly ``surplus.sum()``; the constructor computes
     it so the equality holds bit-for-bit. Flat schemes (none, pop, neb) pay
-    one amount ``theta`` to the agents in the 0/1 uint8 mask ``invested``,
-    so ``surplus`` is ``invested * theta``; the others leave ``invested`` None.
+    one amount ``theta`` to each cooperator with at most ``n_c`` cooperating
+    neighbours, so a cell's surplus follows from its code; the others leave
+    ``n_c`` None.
     """
 
     surplus: np.ndarray
     generation_cost: float
-    invested: np.ndarray | None = None
     theta: float = 0.0
+    n_c: int | None = None
 
     @classmethod
     def from_surplus(cls, surplus: np.ndarray) -> "InvestmentOutcome":
@@ -123,22 +124,22 @@ class InvestmentOutcome:
         return cls(surplus=surplus, generation_cost=float(surplus.sum()))
 
     @classmethod
-    def flat(cls, invested: np.ndarray, theta: float) -> "InvestmentOutcome":
-        """``theta`` to each agent whose ``invested`` entry is 1, nothing to the rest."""
-        return replace(cls.from_surplus(invested * theta), invested=invested, theta=theta)
+    def flat(cls, g: Grid, theta: float, n_c: int = 4) -> "InvestmentOutcome":
+        """``theta`` to each cooperator with k <= n_c, nothing to the rest."""
+        invested = g.cells if n_c >= 4 else g.cells & (g.coop_neighbours <= n_c)  # C is 1, D is 0
+        return replace(cls.from_surplus(invested * theta), theta=theta, n_c=n_c)
 
 
 def apply_pop(g: Grid, scheme: Pop) -> InvestmentOutcome:
     """All-or-nothing: every cooperator gets theta iff x_C <= p_c * Z."""
     threshold_count = int(np.floor(scheme.p_c * g.size + _POP_COUNT_EPS))
     theta = scheme.theta if coop_count(g) <= threshold_count else 0.0
-    return InvestmentOutcome.flat(g.cells, theta)  # C is 1, D is 0
+    return InvestmentOutcome.flat(g, theta)
 
 
 def apply_neb(g: Grid, scheme: Neb) -> InvestmentOutcome:
     """Cooperator i gets theta iff its cooperating-neighbour count is <= n_c."""
-    eligible = g.cells & (g.coop_neighbours <= scheme.n_c)  # C is 1, D is 0
-    return InvestmentOutcome.flat(eligible, scheme.theta)
+    return InvestmentOutcome.flat(g, scheme.theta, scheme.n_c)
 
 
 def _best_neighbour(g: Grid, base: ScoreField) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +194,7 @@ def apply_neb_ii(g: Grid, base: ScoreField, scheme: NebII) -> InvestmentOutcome:
 def apply(scheme: InterferenceScheme, g: Grid, base: ScoreField) -> InvestmentOutcome:
     """Dispatch to the scheme's rule; NoInterference pays nothing."""
     if isinstance(scheme, NoInterference):
-        return InvestmentOutcome.flat(np.zeros_like(g.cells), 0.0)
+        return InvestmentOutcome.flat(g, 0.0)
     if isinstance(scheme, Pop):
         return apply_pop(g, scheme)
     if isinstance(scheme, Neb):

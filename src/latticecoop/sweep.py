@@ -150,6 +150,6 @@ def sweep_metadata(spec: SweepSpec) -> dict:
 
 
 def write_metadata_json(path, spec: SweepSpec) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(sweep_metadata(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -98,20 +98,27 @@ def neb_ii_bruteforce(g: Grid, base: np.ndarray, eps: float) -> np.ndarray:
     return surplus.reshape(length, length)
 
 
+def pop_fires_bruteforce(g: Grid, scheme) -> bool:
+    """Whether pop's global trigger x_C <= p_c * Z fires on ``g``."""
+    return isinstance(scheme, Pop) and g.cells.sum() <= np.floor(scheme.p_c * g.size + 1e-9)
+
+
+def flat_paid_bruteforce(scheme, me: int, k: int, pop_fires: bool) -> bool:
+    """Whether NoInterference, Pop or Neb pays an agent playing ``me`` with k cooperating neighbours."""
+    if me != Strategy.C.value or isinstance(scheme, NoInterference):
+        return False
+    return pop_fires or (isinstance(scheme, Neb) and k <= scheme.n_c)
+
+
 def flat_surplus_bruteforce(g: Grid, scheme) -> np.ndarray:
     """Per-agent surplus of NoInterference, Pop or Neb, one agent at a time."""
     length = g.side_length
     flat = g.cells.reshape(-1)
     surplus = np.zeros(g.size)
-    if isinstance(scheme, NoInterference):
-        return surplus.reshape(length, length)
-    # pop pays every cooperator while x_C <= p_c * Z; neb pays those with k <= n_c
-    pop_fires = isinstance(scheme, Pop) and flat.sum() <= np.floor(scheme.p_c * g.size + 1e-9)
+    pop_fires = pop_fires_bruteforce(g, scheme)
     for i in range(g.size):
-        if flat[i] != Strategy.C.value:
-            continue
         k = sum(int(flat[j]) for j in neighbours(i, length))
-        if pop_fires or (isinstance(scheme, Neb) and k <= scheme.n_c):
+        if flat_paid_bruteforce(scheme, int(flat[i]), k, pop_fires):
             surplus[i] = scheme.theta
     return surplus.reshape(length, length)
 

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -317,6 +321,29 @@ def test_cmd_run_unreadable_config_exits_io(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.yaml")]) == EXIT_IO
 
 
+def test_cmd_run_non_utf8_config_exits_config(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"\xff\xfe" + RUN_CONFIG.format(out=tmp_path / "runs").encode())
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert "config error: config: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cmd_run_reads_utf8_config_whatever_the_locale(tmp_path):
+    # Without UTF-8 mode the C locale's default text encoding is ASCII.
+    path = write_config(tmp_path, "# grille à 10×10\n" + RUN_CONFIG)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticecoop.cli", "run", "--config", str(path), "--workers", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    (run_dir,) = run_dirs(tmp_path)
+    assert load_config(run_dir / "config.yaml") == load_config(path)
+
+
 def test_cmd_sweep_end_to_end(tmp_path, capsys):
     path = write_config(tmp_path, SWEEP_CONFIG)
     assert main(["sweep", "--config", str(path)]) == EXIT_OK
@@ -395,3 +422,10 @@ def test_cmd_snapshot_invalid_file(tmp_path, capsys):
     path.write_text("L=3\nCCC\nCC\nCCC\n")
     assert main(["snapshot", str(path)]) == EXIT_CONFIG
     assert main(["snapshot", str(tmp_path / "missing.txt")]) == EXIT_IO
+
+
+def test_cmd_snapshot_non_utf8_file_exits_config(tmp_path, capsys):
+    path = tmp_path / "grid.txt"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["snapshot", str(path)]) == EXIT_CONFIG
+    assert f"config error: snapshot {path}: not UTF-8 text" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from latticecoop.dynamics import (
     step_deterministic,
     step_fermi,
 )
-from latticecoop.game import PayoffParams, compute_scores
+from latticecoop.game import PayoffParams, compute_scores, rank_table, score_table
 from latticecoop.grid import Grid, Strategy, coop_count
 from latticecoop.interference import NebI, NebII, Pop, apply
 
@@ -113,6 +113,30 @@ def test_step_deterministic_matches_bruteforce(g, theta):
         scores = _invested_scores(g, b, theta) if theta > 0 else compute_scores(g, PayoffParams(b=b))
         expected = step_deterministic_bruteforce(g, scores)
         assert step_deterministic(g, scores) == expected
+        # the uint8 ranks of the same scores (pop with p_c=1 pays every cooperator)
+        ranks = rank_table(PayoffParams(b=b), theta, 4).take(g.code)
+        assert step_deterministic(g, ranks) == expected
+
+
+@settings(max_examples=40)
+@given(grids(5, 12), st.integers(0, 2**32 - 1))
+def test_step_deterministic_on_ranks_up_to_19_matches_float_path(g, seed):
+    # ranks of 16 and more do not fit a key's high nibble and must not wrap.
+    # The 20 distinct scores ``table`` and ``table + theta``, indexed by
+    # code + 10 * paid, give ranks 0..19.
+    table = score_table(PayoffParams(b=1.9, punishment=0.15))
+    levels = np.concatenate((table, table + 0.05))
+    ranks = np.unique(levels, return_inverse=True)[1].astype(np.uint8)
+    assert sorted(ranks) == list(range(20))
+    paid = np.random.default_rng(seed).integers(0, 2, g.code.shape, dtype=np.uint8)
+    index = g.code + 10 * paid
+    scores, cell_ranks = levels.take(index), ranks.take(index)
+    expected = step_deterministic_bruteforce(g, scores)
+    assert step_deterministic(g, scores) == expected
+    assert step_deterministic(g, cell_ranks) == expected
+    # halved (0..9, with new ties) they take the key path
+    halved = cell_ranks // 2
+    assert step_deterministic(g, halved) == step_deterministic_bruteforce(g, halved)
 
 
 def test_step_deterministic_is_pure():

@@ -17,15 +17,17 @@ from latticecoop.engine import (
     step_generation,
     write_metrics_csv,
 )
-from latticecoop.game import PayoffParams, compute_scores
-from latticecoop.grid import Grid, Strategy, grid_hash, random_grid
+from latticecoop.game import PayoffParams, compute_scores, pair_payoff
+from latticecoop.grid import Grid, Strategy, grid_hash, neighbours, random_grid
 from latticecoop.interference import Neb, NebI, NebII, NoInterference, Pop
 
 from conftest import (
+    flat_paid_bruteforce,
     flat_surplus_bruteforce,
     grids,
     neb_i_bruteforce,
     neb_ii_bruteforce,
+    pop_fires_bruteforce,
     scores_bruteforce,
     step_deterministic_bruteforce,
 )
@@ -242,6 +244,56 @@ def test_rank_path_matches_float_scores(g, theta):
             nxt, cost = step_generation(g, payoff, scheme, Deterministic())
             assert nxt == expected, (b, scheme)
             assert cost == float(surplus.sum()), (b, scheme)
+
+
+# The cells within Manhattan distance 2 of a centre. Under imitate-best with a
+# flat scheme they alone decide the centre's next strategy (pop's global
+# trigger aside).
+DIAMOND = [(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3) if abs(dr) + abs(dc) <= 2]
+
+
+def _diamond_lattice():
+    """All 2**13 diamonds, one per 5x5 block, centred in the blocks of one lattice."""
+    n = 2 ** len(DIAMOND)
+    per_side = int(np.ceil(np.sqrt(n)))
+    side = 5 * per_side
+    block_row, block_col = np.divmod(np.arange(n), per_side)
+    cells = np.zeros((side, side), dtype=np.uint8)  # spare blocks stay all D
+    for bit, (dr, dc) in enumerate(DIAMOND):
+        cells[5 * block_row + 2 + dr, 5 * block_col + 2 + dc] = (np.arange(n) >> bit) & 1
+    return Grid(cells), (5 * block_row + 2) * side + 5 * block_col + 2
+
+
+def test_rank_path_exhaustive_over_radius2_diamonds():
+    g, centres = _diamond_lattice()
+    length, flat = g.side_length, g.cells.reshape(-1)
+    # Candidates self, N, E, S, W of every centre, each as (strategy, its neighbours' strategies).
+    candidates = [[i, *neighbours(i, length)] for i in centres.tolist()]
+    plays = [[(int(flat[c]), tuple(int(flat[j]) for j in neighbours(c, length))) for c in cand]
+             for cand in candidates]
+    kinds = sorted({play for row in plays for play in row})
+    kind_of = {play: n for n, play in enumerate(kinds)}
+    cand_kind = np.array([[kind_of[play] for play in row] for row in plays])
+    cand_strategy = np.array([[me for me, _ in row] for row in plays], dtype=np.uint8)
+    for b in TIE_BS:
+        payoff = PayoffParams(b=b)
+        base = [sum(pair_payoff(Strategy(me), Strategy(o), payoff) for o in others)
+                for me, others in kinds]
+        thetas = TIE_THETAS + (4 * b - 4, 4 * b - 3, 4 * b - 2)
+        schemes = [NoInterference()]
+        schemes += [Pop(p_c=p_c, theta=t) for p_c in (0.0, 1.0) for t in thetas]
+        schemes += [Neb(n_c=n_c, theta=t) for n_c in range(5) for t in thetas]
+        for scheme in schemes:
+            fires = pop_fires_bruteforce(g, scheme)
+            scores = np.array([
+                score + (scheme.theta if flat_paid_bruteforce(scheme, me, sum(others), fires) else 0.0)
+                for score, (me, others) in zip(base, kinds)
+            ])
+            # first maximum in self, N, E, S, W order
+            winner = scores[cand_kind].argmax(axis=1)
+            expected = cand_strategy[np.arange(len(centres)), winner]
+            nxt, _ = step_generation(g, payoff, scheme, Deterministic())
+            assert np.array_equal(nxt.cells.reshape(-1)[centres], expected), (b, scheme)
 
 
 def test_neb4_pop_trajectory_equivalence_lockstep():

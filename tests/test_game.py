@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecoop.analysis import lone_defector_grid
-from latticecoop.game import PayoffParams, compute_scores, pair_payoff, score_ranks, score_table
+from latticecoop.game import (
+    PayoffParams,
+    cell_ranks,
+    compute_scores,
+    pair_payoff,
+    rank_table,
+    score_table,
+)
 from latticecoop.grid import Grid, Strategy, neighbours
 
 from conftest import grids, payoffs, scores_bruteforce
@@ -131,20 +138,34 @@ def test_default_params_score_formula(g):
 
 
 @pytest.mark.parametrize("b, theta", [(2.0, 1.0), (1.5, 0.5), (1.8, 0.3), (1.8, 1e-300)])
-def test_score_ranks_share_ties_and_keep_order(b, theta):
+def test_rank_table_share_ties_and_keep_order(b, theta):
     params = PayoffParams(b=b)
-    table = score_table(params)
-    scores = np.concatenate((table, table + theta))  # indexed by code + 10 * invested
-    ranks = score_ranks(params, theta)
-    assert ranks.dtype == np.uint8 and sorted(set(ranks)) == list(range(len(set(scores))))
-    for i in range(20):
-        for j in range(20):
-            assert (ranks[i] == ranks[j]) == (scores[i] == scores[j])
-            assert (ranks[i] > ranks[j]) == (scores[i] > scores[j])
+    for n_c in range(5):
+        # a cooperator (code 5 + k) with k <= n_c is paid theta
+        scores = [s + (theta if 5 <= code <= 5 + n_c else 0.0)
+                  for code, s in enumerate(score_table(params))]
+        ranks = rank_table(params, theta, n_c)
+        assert ranks.dtype == np.uint8 and sorted(set(ranks)) == list(range(len(set(scores))))
+        for i in range(10):
+            for j in range(10):
+                assert (ranks[i] == ranks[j]) == (scores[i] == scores[j])
+                assert (ranks[i] > ranks[j]) == (scores[i] > scores[j])
 
 
-def test_score_ranks_tie_invested_cooperator_with_defector():
-    # code 5*s + k: a cooperator with k=1 paid theta=1 (code 6 + 10) ties a
+def test_rank_table_tie_invested_cooperator_with_defector():
+    # code 5*s + k: a cooperator with k=1 paid theta=1 (code 6) ties a
     # defector with k'=1 (code 1) at b=2.0; at b=1.5, C(4) + 0.5 ties D(3)
-    assert score_ranks(PayoffParams(b=2.0), 1.0)[16] == score_ranks(PayoffParams(b=2.0), 1.0)[1]
-    assert score_ranks(PayoffParams(b=1.5), 0.5)[19] == score_ranks(PayoffParams(b=1.5), 0.5)[3]
+    assert rank_table(PayoffParams(b=2.0), 1.0, 4)[6] == rank_table(PayoffParams(b=2.0), 1.0, 4)[1]
+    assert rank_table(PayoffParams(b=1.5), 0.5, 4)[9] == rank_table(PayoffParams(b=1.5), 0.5, 4)[3]
+    # unpaid, the same cooperators do not tie
+    assert rank_table(PayoffParams(b=2.0), 1.0, 0)[6] < rank_table(PayoffParams(b=2.0), 1.0, 0)[1]
+
+
+@settings(max_examples=40)
+@given(grids(3, 9), st.floats(0.01, 6.0), st.integers(0, 4))
+def test_cell_ranks_equal_a_plain_take(g, theta, n_c):
+    # pairs of cells are looked up at once when Z is even; odd Z takes one at a time
+    ranks = rank_table(PayoffParams(b=1.8), theta, n_c)
+    got = cell_ranks(g.code, ranks)
+    assert got.dtype == np.uint8 and got.shape == g.code.shape
+    assert np.array_equal(got, ranks.take(g.code))
