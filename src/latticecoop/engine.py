@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import Deterministic, Fermi, UpdateRule, step
-from .game import PayoffParams, cell_ranks, compute_scores, rank_table
+from .game import PayoffParams, by_code, compute_scores, paid_score_table, rank_table
 from .grid import MIN_SIDE_LENGTH, Grid, Strategy, coop_count, random_grid
 from .grid import grid_hash  # noqa: F401 (perfbench looks grid.grid_hash up here only)
 from .interference import InterferenceScheme, apply
@@ -55,6 +55,11 @@ class RunConfig:
     early_stop_on_homogeneous: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("side_length", "generations", "measure_window", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # NumPy integers become plain ints
         if self.side_length < MIN_SIDE_LENGTH:
             raise ValueError(f"side_length must be >= {MIN_SIDE_LENGTH}, got {self.side_length}")
         if self.generations < 1:
@@ -104,19 +109,20 @@ def step_generation(
     """Advance one generation; returns (next grid, interference cost paid).
 
     Interference is suppressed entirely on homogeneous grids (absorbing
-    without mutation, so investing there is pure waste). Imitate-best needs
-    only the order of the scores, so after a flat investment (where a cell's
-    score follows from its code) it runs on the uint8 ranks of the exact
-    scores instead.
+    without mutation, so investing there is pure waste). After a flat
+    investment a cell's score follows from its code, so it is looked up in
+    the ten paid scores; imitate-best needs only their order, so it looks up
+    their uint8 ranks instead.
     """
     base = compute_scores(g, payoff)
     if is_homogeneous(g) is not None:
         return step(g, base, rule, rng), 0.0
     outcome = apply(scheme, g, base)
-    if outcome.n_c is not None and isinstance(rule, Deterministic):
-        scores = cell_ranks(g.code, rank_table(payoff, outcome.theta, outcome.n_c))
-    else:
+    if outcome.n_c is None:
         scores = base + outcome.surplus
+    else:
+        table = rank_table if isinstance(rule, Deterministic) else paid_score_table
+        scores = by_code(g.code, table(payoff, outcome.theta, outcome.n_c))
     return step(g, scores, rule, rng), outcome.generation_cost
 
 

@@ -64,18 +64,30 @@ def score_table(params: PayoffParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def rank_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
-    """Dense uint8 ranks (0..9) of the ten scores of a flat investment, by code.
+def paid_score_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
+    """The ten scores of a flat investment, by code: ``score_table`` plus ``theta``
+    for a cooperator (code ``5 + k``) with k <= n_c.
 
-    Code ``5 * s + k`` scores ``score_table(params)[code]``, plus ``theta``
-    for a cooperator with k <= n_c. Equal floats share a rank and the order
-    is kept, so imitate-best picks the same strategy from these ranks as
-    from the float scores ``base + surplus``. Ranked in Python: ``np.unique``
-    would first map ~0.5 MB of NumPy's sort code.
+    Each entry is the float that ``base + surplus`` holds for such a cell, so
+    a lookup in this table equals that sum bit for bit.
     """
     scores = score_table(params).tolist()
     for k in range(n_c + 1):
         scores[5 + k] += theta
+    table = np.array(scores)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=256)
+def rank_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
+    """Dense uint8 ranks (0..9) of ``paid_score_table(params, theta, n_c)``, by code.
+
+    Equal floats share a rank and the order is kept, so imitate-best picks
+    the same strategy from these ranks as from the float scores. Ranked in
+    Python: ``np.unique`` would first map ~0.5 MB of NumPy's sort code.
+    """
+    scores = paid_score_table(params, theta, n_c).tolist()
     levels = sorted(set(scores))
     ranks = np.array([levels.index(score) for score in scores], dtype=np.uint8)
     ranks.setflags(write=False)
@@ -83,29 +95,31 @@ def rank_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _rank_pairs(ranks: bytes) -> np.ndarray:
-    """uint16 table whose entry ``i`` holds the ranks of ``i``'s two bytes (codes).
+def _pair_table(table: bytes, dtype: np.dtype) -> np.ndarray:
+    """Entry ``i`` holds the table entries of ``i``'s two bytes (codes), side by side.
 
-    Two codes below n = len(ranks), read as one uint16 in either byte order,
-    are below n * 256.
+    Two codes below n = len(table), read as one uint16 in either byte order,
+    are below n * 256. Entries are void items of twice the table's item size:
+    ``take`` only moves their bytes.
     """
-    byte_ranks = np.zeros(256, dtype=np.uint8)
-    byte_ranks[: len(ranks)] = np.frombuffer(ranks, dtype=np.uint8)
-    index = np.arange(len(ranks) << 8, dtype=np.uint16)
-    pairs = byte_ranks.take(index.view(np.uint8)).view(np.uint16)
+    n = len(table) // dtype.itemsize
+    entries = np.zeros(256, dtype=dtype)
+    entries[:n] = np.frombuffer(table, dtype=dtype)
+    index = np.arange(n << 8, dtype=np.uint16)
+    pairs = entries.take(index.view(np.uint8)).view((np.void, 2 * dtype.itemsize))
     pairs.setflags(write=False)
     return pairs
 
 
-def cell_ranks(code: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """``ranks.take(code)``, two cells per lookup through a uint16 view when Z is even.
+def by_code(code: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``table.take(code)``, two cells per lookup through a uint16 view when Z is even.
 
     A ``take`` costs per index, not per byte, so pairs halve its time.
     """
     if code.size % 2:
-        return ranks.take(code)
-    pairs = _rank_pairs(ranks.tobytes()).take(code.reshape(-1).view(np.uint16))
-    return pairs.view(np.uint8).reshape(code.shape)
+        return table.take(code)
+    pairs = _pair_table(table.tobytes(), table.dtype).take(code.reshape(-1).view(np.uint16))
+    return pairs.view(table.dtype).reshape(code.shape)
 
 
 def compute_scores(g: Grid, params: PayoffParams) -> ScoreField:
@@ -114,4 +128,4 @@ def compute_scores(g: Grid, params: PayoffParams) -> ScoreField:
     Pure function of (grid, params); no interference surplus included and no
     self-interaction. Looked up in ``score_table`` by each cell's code.
     """
-    return score_table(params).take(g.code)
+    return by_code(g.code, score_table(params))

@@ -65,6 +65,11 @@ class Grid:
         """Per cell, ``5 * strategy + k`` (uint8, 0..9): all its base score depends on."""
         return _frozen(5 * self.cells + self.coop_neighbours)
 
+    @cached_property
+    def coop_count(self) -> int:
+        """Number of cooperators x_C, counted once per grid."""
+        return int(np.count_nonzero(self.cells))
+
     @property
     def side_length(self) -> int:
         return self.cells.shape[0]
@@ -146,7 +151,7 @@ def best_of(scores: tuple, strategies: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 def coop_count(g: Grid) -> int:
     """Number of cooperators x_C currently on the grid."""
-    return int(np.count_nonzero(g.cells))
+    return g.coop_count
 
 
 def grid_hash(g: Grid) -> int:

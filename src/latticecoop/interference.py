@@ -21,14 +21,14 @@ input, so the per-agent grants are order-independent and reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Union
 
 import numpy as np
 
 from .game import ScoreField
-from .grid import Grid, Strategy, best_of, coop_count, neighbour_field
+from .grid import Grid, Strategy, _frozen, best_of, coop_count, neighbour_field
 
 # Tolerance absorbing float rounding when a fractional population threshold
 # is scaled to a count (e.g. 0.7 * 10000 evaluating just below 7000).
@@ -105,29 +105,64 @@ SCHEMES = {"none": NoInterference, "pop": Pop, "neb": Neb, "neb_i": NebI, "neb_i
 class InvestmentOutcome:
     """Per-agent surplus plus the decision-maker's total cost this generation.
 
-    ``generation_cost`` is exactly ``surplus.sum()``; the constructor computes
-    it so the equality holds bit-for-bit. Flat schemes (none, pop, neb) pay
-    one amount ``theta`` to each cooperator with at most ``n_c`` cooperating
-    neighbours, so a cell's surplus follows from its code; the others leave
-    ``n_c`` None.
+    ``generation_cost`` equals ``float(surplus.sum())`` bit for bit. Flat
+    schemes (none, pop, neb) pay one amount ``theta`` to each cooperator with
+    at most ``n_c`` cooperating neighbours, so a cell's surplus follows from
+    its code: their ``surplus`` is built from the grid only when it is read,
+    and their cost comes from the number of paid cooperators where that is
+    exact (see ``flat``). The others leave ``n_c`` None.
     """
 
-    surplus: np.ndarray
     generation_cost: float
     theta: float = 0.0
     n_c: int | None = None
+    _grid: Grid | None = field(default=None, repr=False)
+    _surplus: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def surplus(self) -> np.ndarray:
+        """Per-agent surplus, a read-only float64 array shaped like the grid."""
+        if self._surplus is None:
+            return _flat_surplus(self._grid, self.theta, self.n_c)
+        return self._surplus
 
     @classmethod
     def from_surplus(cls, surplus: np.ndarray) -> "InvestmentOutcome":
-        surplus = np.ascontiguousarray(surplus, dtype=np.float64)
-        surplus.setflags(write=False)
-        return cls(surplus=surplus, generation_cost=float(surplus.sum()))
+        surplus = _frozen(np.ascontiguousarray(surplus, dtype=np.float64))
+        return cls(float(surplus.sum()), _surplus=surplus)
 
     @classmethod
     def flat(cls, g: Grid, theta: float, n_c: int = 4) -> "InvestmentOutcome":
-        """``theta`` to each cooperator with k <= n_c, nothing to the rest."""
-        invested = g.cells if n_c >= 4 else g.cells & (g.coop_neighbours <= n_c)  # C is 1, D is 0
-        return replace(cls.from_surplus(invested * theta), theta=theta, n_c=n_c)
+        """``theta`` to each cooperator with k <= n_c, nothing to the rest.
+
+        Every partial sum of the surplus, in any order, is ``j * theta`` for
+        some count j <= Z. Write theta = m * 2**e with m odd: if m * Z < 2**53,
+        each ``j * m`` fits the 53-bit significand, so every partial sum is
+        exact (or, past the largest float, inf) and the sum NumPy computes is
+        ``float(paid) * theta`` rounded once. Any other theta sums the array.
+        """
+        theta = float(theta)
+        if theta == 0.0 or _odd_part(theta) * g.size < 2**53:
+            return cls(float(_paid_count(g, n_c)) * theta, theta, n_c, _grid=g)
+        surplus = _flat_surplus(g, theta, n_c)
+        return cls(float(surplus.sum()), theta, n_c, _surplus=surplus)
+
+
+def _flat_surplus(g: Grid, theta: float, n_c: int) -> np.ndarray:
+    invested = g.cells if n_c >= 4 else g.cells & (g.coop_neighbours <= n_c)
+    return _frozen(invested * theta)  # C is 1, D is 0
+
+
+def _odd_part(theta: float) -> int:
+    """The odd integer m with theta = m * 2**e, for theta > 0."""
+    numerator = theta.as_integer_ratio()[0]  # odd unless theta is a whole number
+    return numerator // (numerator & -numerator)
+
+
+def _paid_count(g: Grid, n_c: int) -> int:
+    """Number of cooperators with k <= n_c: x_C less those of code 5 + k > 5 + n_c."""
+    x_c = coop_count(g)
+    return x_c if n_c >= 4 else x_c - int(np.count_nonzero(g.code > 5 + n_c))
 
 
 def apply_pop(g: Grid, scheme: Pop) -> InvestmentOutcome:

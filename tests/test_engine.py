@@ -30,6 +30,7 @@ from conftest import (
     pop_fires_bruteforce,
     scores_bruteforce,
     step_deterministic_bruteforce,
+    step_fermi_bruteforce,
 )
 
 PAY = PayoffParams(b=1.8)
@@ -64,6 +65,19 @@ def test_config_validation_before_any_work():
         config(seed=-1)
     with pytest.raises(ValueError):
         config(seed=2**64)
+
+
+@pytest.mark.parametrize("field", ["side_length", "generations", "measure_window", "seed"])
+@pytest.mark.parametrize("value", [10.5, 12.0, True, np.float64(12.0), np.bool_(True), "12"])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        config(**{field: value})
+
+
+def test_config_accepts_numpy_integers_as_plain_ints():
+    cfg = config(side_length=np.int64(12), generations=np.uint8(20), seed=np.uint64(2**63))
+    assert cfg == config(generations=20, seed=2**63)
+    assert type(cfg.side_length) is int and type(cfg.seed) is int
 
 
 def test_is_homogeneous():
@@ -242,6 +256,25 @@ def test_rank_path_matches_float_scores(g, theta):
             surplus = flat_surplus_bruteforce(g, scheme)
             expected = step_deterministic_bruteforce(g, compute_scores(g, payoff) + surplus)
             nxt, cost = step_generation(g, payoff, scheme, Deterministic())
+            assert nxt == expected, (b, scheme)
+            assert cost == float(surplus.sum()), (b, scheme)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids(), st.sampled_from(TIE_THETAS) | st.floats(0.01, 6.0), st.integers(0, 2**32 - 1))
+def test_fermi_flat_path_matches_float_scores(g, theta, seed):
+    # under Fermi, none, pop and neb look the float scores base + surplus up by code
+    assume(0 < int(g.cells.sum()) < g.size)
+    schemes = [NoInterference(), Pop(p_c=1.0, theta=theta), Pop(p_c=0.5, theta=theta)]
+    schemes += [Neb(n_c=n_c, theta=theta) for n_c in range(5)]
+    for b in TIE_BS:
+        payoff = PayoffParams(b=b)
+        for scheme in schemes:
+            surplus = flat_surplus_bruteforce(g, scheme)
+            scores = compute_scores(g, payoff) + surplus
+            expected = step_fermi_bruteforce(g, scores, 0.3, 0.05, seed)
+            rng = np.random.default_rng(seed)
+            nxt, cost = step_generation(g, payoff, scheme, Fermi(K=0.3, mu=0.05), rng)
             assert nxt == expected, (b, scheme)
             assert cost == float(surplus.sum()), (b, scheme)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from latticecoop.analysis import lone_defector_grid
 from latticecoop.game import (
     PayoffParams,
-    cell_ranks,
+    by_code,
     compute_scores,
     pair_payoff,
     rank_table,
@@ -166,6 +166,16 @@ def test_rank_table_tie_invested_cooperator_with_defector():
 def test_cell_ranks_equal_a_plain_take(g, theta, n_c):
     # pairs of cells are looked up at once when Z is even; odd Z takes one at a time
     ranks = rank_table(PayoffParams(b=1.8), theta, n_c)
-    got = cell_ranks(g.code, ranks)
+    got = by_code(g.code, ranks)
     assert got.dtype == np.uint8 and got.shape == g.code.shape
     assert np.array_equal(got, ranks.take(g.code))
+
+
+@settings(max_examples=40)
+@given(grids(3, 9), payoffs())
+def test_float_pairs_equal_a_plain_take(g, params):
+    # float64 pairs travel as 16-byte items; a take moves their bytes unchanged
+    table = score_table(params)
+    got = by_code(g.code, table)
+    assert got.dtype == np.float64 and got.shape == g.code.shape
+    assert got.tobytes() == table.take(g.code).tobytes()

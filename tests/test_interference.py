@@ -1,12 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecoop.analysis import lone_defector_grid
-from latticecoop.game import PayoffParams, compute_scores
+from latticecoop.game import PayoffParams, by_code, compute_scores, paid_score_table
 from latticecoop.grid import Grid, Strategy, coop_count, random_grid
 from latticecoop.interference import (
+    InvestmentOutcome,
     Neb,
     NebI,
     NebII,
@@ -19,7 +23,7 @@ from latticecoop.interference import (
     apply_pop,
 )
 
-from conftest import grids, neb_i_bruteforce, neb_ii_bruteforce
+from conftest import flat_surplus_bruteforce, grids, neb_i_bruteforce, neb_ii_bruteforce, payoffs
 
 C, D = Strategy.C, Strategy.D
 
@@ -260,3 +264,59 @@ def test_dispatch_none_is_free():
     out = apply(NoInterference(), g, base)
     assert out.generation_cost == 0.0
     assert np.all(out.surplus == 0.0)
+
+
+def _flat_thetas(z):
+    """Amounts for a flat outcome on z cells, each side of the exact-cost rule.
+
+    A flat cost is ``paid * theta`` only while theta = m * 2**e (m odd) has
+    m * z < 2**53; the largest odd m below that bound and the smallest odd m
+    at or above it sit on either side of it.
+    """
+    below = (2**53 - 1) // z
+    below -= 1 - below % 2
+    above = -(-(2**53) // z)
+    above += 1 - above % 2
+    odd = st.integers(0, 2**20).map(lambda n: 2 * n + 1)
+    return st.one_of(
+        st.sampled_from((0.0, 0.1, 5.3, 5e-324, 3, 7, 4.5, 2.0**-1074 * 3)),
+        st.builds(math.ldexp, odd, st.integers(-40, 10)),
+        st.builds(math.ldexp, st.sampled_from((below, above)), st.integers(-80, 0)),
+        st.floats(0.01, 10.0),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(3, 9), st.integers(0, 4), st.data())
+def test_flat_cost_is_the_surplus_sum_bit_for_bit(g, n_c, data):
+    theta = data.draw(_flat_thetas(g.size), label="theta")
+    outcome = InvestmentOutcome.flat(g, theta, n_c)
+    expected = flat_surplus_bruteforce(g, Neb(n_c, theta)) if theta else np.zeros(g.cells.shape)
+    np.testing.assert_array_equal(outcome.surplus, expected)
+    assert outcome.surplus.dtype == np.float64
+    assert np.float64(outcome.generation_cost).tobytes() == outcome.surplus.sum().tobytes()
+
+
+@settings(max_examples=60)
+@given(grids(3, 9), payoffs(), st.integers(0, 4), st.sampled_from((0.5, 1.0, 3)) | st.floats(0.01, 8.0))
+def test_paid_scores_equal_base_plus_surplus(g, params, n_c, theta):
+    base = compute_scores(g, params)
+    expected = base + apply(Neb(n_c=n_c, theta=theta), g, base).surplus
+    got = by_code(g.code, paid_score_table(params, theta, n_c))
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scheme", [Pop(p_c=1.0, theta=4.0), Neb(n_c=3, theta=4.0)])
+def test_flat_schemes_build_no_float_surplus(scheme):
+    # a Z-element float64 temporary alone takes Z * 8 bytes
+    g = random_grid(200, 0.5, np.random.default_rng(3))
+    base = compute_scores(g, PayoffParams(b=1.8))  # the grid caches its codes
+    coop_count(g)  # and its x_C, so only apply's own temporaries are traced
+    tracemalloc.start()
+    try:
+        outcome = apply(scheme, g, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.generation_cost > 0.0
+    assert peak < g.size * 8
