@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import Deterministic
 from .engine import RunConfig, RunResult, replicate_configs, run_many, step_generation
-from .game import B_MAX, B_MIN, PayoffParams
+from .game import PayoffParams
 from .grid import Grid, Strategy, coop_count
 from .interference import InterferenceScheme, Pop
 
@@ -42,8 +42,7 @@ class ThresholdReport:
 
 
 def thresholds(b: float) -> ThresholdReport:
-    if not B_MIN < b <= B_MAX:
-        raise ValueError(f"temptation b must satisfy {B_MIN} < b <= {B_MAX}, got {b}")
+    b = PayoffParams(b=b).b  # raises ValueError for a b outside (1, 2]
     return ThresholdReport(
         b=b,
         pop_escape_threshold=4 * b - 3,

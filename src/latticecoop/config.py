@@ -3,7 +3,10 @@
 Configs are YAML documents with sections ``model``, ``scheme``, ``rule``,
 ``protocol``, ``output`` and (for sweeps) ``sweep``. Scheme and rule kinds,
 and the fields each takes, come from ``interference.SCHEMES`` and
-``dynamics.RULES``. Errors carry their section or field path, e.g.
+``dynamics.RULES``. Each section passes its values as they are to the
+dataclasses it sets, which check their types and ranges; their errors carry
+the section name, e.g. ``scheme: theta must be finite and > 0, got nan``.
+A missing or unknown field is named by its path, e.g.
 ``scheme.theta: required field is missing``. Emitting the effective config
 and re-parsing it yields an identical experiment.
 """
@@ -12,15 +15,24 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from typing import Any, Mapping, get_type_hints
+from typing import Any, Mapping
 
 import yaml
 
 from .dynamics import RULES, Deterministic
 from .engine import RunConfig
 from .game import PayoffParams
+from .grid import check_field_types
 from .interference import SCHEMES, NoInterference, Pop
 from .sweep import SweepSpec
+
+# The RunConfig fields set by the model section (besides the payoff's own) and
+# by the protocol section, the ExperimentConfig fields set by the output
+# section, and the keys that differ from their field's name.
+MODEL_FIELDS = ("side_length", "initial_coop_probability", "initial_exact_fraction")
+PROTOCOL_FIELDS = ("generations", "measure_window", "seed", "early_stop_on_homogeneous")
+OUTPUT_FIELDS = ("output_dir", "label")
+KEYS = {"seed": "base_seed", "output_dir": "directory"}
 
 
 class ConfigError(ValueError):
@@ -36,10 +48,15 @@ class ExperimentConfig:
     """
 
     run: RunConfig
-    replicates: int
-    output_dir: str
-    label: str
-    sweep: SweepSpec | None
+    replicates: int = 1
+    output_dir: str = "runs"
+    label: str = "experiment"
+    sweep: SweepSpec | None = None
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        if self.replicates < 1:
+            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
 
     def run_config(self) -> RunConfig:
         if self.sweep is not None:
@@ -52,19 +69,8 @@ class ExperimentConfig:
         return self.sweep
 
 
-# How errors name the type a field expects, by the Python type it takes.
-_EXPECTED = {int: "an integer", float: "a number", bool: "true/false", str: "a string"}
-
-
-def _is(value: Any, typ: type) -> bool:
-    # bool is an int subclass: accept it where, and only where, a bool is asked for
-    if isinstance(value, bool) or typ is bool:
-        return isinstance(value, bool) and typ is bool
-    return isinstance(value, (int, float) if typ is float else typ)
-
-
 class _Section:
-    """Typed accessors over one config mapping, with field-path errors."""
+    """One config mapping: its keys as dataclass fields, with field-path errors."""
 
     def __init__(self, name: str, data: Any):
         if data is None:
@@ -75,53 +81,58 @@ class _Section:
         self.data = dict(data)
 
     def reject_unknown(self, known: tuple[str, ...]) -> None:
-        unknown = [key for key in self.data if key not in known]
+        """Reject every key but those of the fields ``known``."""
+        keys = {KEYS.get(field, field) for field in known}
+        unknown = [key for key in self.data if key not in keys]
         if unknown:
             raise ConfigError(f"{self.name}.{unknown[0]}: unknown field")
 
-    def _fetch(self, field: str, required: bool, default):
-        if field in self.data:
-            return self.data[field]
-        if required:
-            raise ConfigError(f"{self.name}.{field}: required field is missing")
-        return default
+    def required(self, key: str) -> Any:
+        if key not in self.data:
+            raise ConfigError(f"{self.name}.{key}: required field is missing")
+        return self.data[key]
 
-    def get(self, field: str, typ: type, required: bool = False, default=None):
-        """The field as ``typ`` (int, float, bool or str); ints are accepted as floats."""
-        value = self._fetch(field, required, default)
-        if value is None:
-            return None
-        if not _is(value, typ):
-            raise ConfigError(f"{self.name}.{field}: expected {_EXPECTED[typ]}, got {value!r}")
-        return float(value) if typ is float else value
+    def values(self, cls: type, names: tuple[str, ...] | None = None) -> dict:
+        """The section's values of ``cls``'s fields ``names`` (default all), by field.
 
-    def get_float_list(self, field: str, required: bool = False) -> tuple[float, ...] | None:
-        value = self._fetch(field, required, default=None)
-        if value is None:
-            return None
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{self.name}.{field}: expected a list of numbers")
-        for item in value:
-            if not _is(item, float):
-                raise ConfigError(f"{self.name}.{field}: expected numbers, got {item!r}")
-        return tuple(float(item) for item in value)
+        A field without a default is required; an absent one keeps its default.
+        """
+        values = {}
+        for f in fields(cls):
+            key = KEYS.get(f.name, f.name)
+            if (names is None or f.name in names) and (key in self.data or f.default is MISSING):
+                values[f.name] = self.required(key)
+        return values
+
+    def build(self, make, *args, **values):
+        """``make(*args, **values)``, a ValueError prefixed with the section name."""
+        try:
+            return make(*args, **values)
+        except ValueError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from exc
 
 
-def _fraction_from(value: float, z: int, field: str) -> float:
-    """Population threshold: a fraction of Z, or a count in (1, Z] scaled by Z."""
-    if value > 1.0:
-        if not value.is_integer() or value > z:
-            raise ConfigError(f"{field}: count form must be an integer in 1..Z={z}, got {value}")
-        return value / z
-    return value
+def _as_fraction(value: Any, z: int, where: str) -> Any:
+    """Population thresholds above 1 are counts in 1..Z, scaled here to fractions of Z.
+
+    A list is scaled item by item. Fractions, and values that are not numbers,
+    go to the dataclass unchanged.
+    """
+    if isinstance(value, list):
+        return [_as_fraction(item, z, where) for item in value]
+    if not (isinstance(value, (int, float)) and value > 1):
+        return value
+    if not float(value).is_integer() or value > z:
+        raise ConfigError(f"{where} count form must be an integer in 1..Z={z}, got {value}")
+    return value / z
 
 
 def _kind(section: _Section, table: Mapping[str, type]) -> tuple[str, type]:
     """``section.kind`` and its class in ``table``; rejects fields the class lacks."""
     section.reject_unknown(("kind", *(f.name for cls in table.values() for f in fields(cls))))
-    kind = section.get("kind", str, required=True)
-    if kind not in table:
-        raise ConfigError(f"{section.name}.kind: must be one of {tuple(table)}, got {kind!r}")
+    kind = section.required("kind")
+    if kind not in tuple(table):  # a tuple: an unhashable kind is just not one of them
+        raise ConfigError(f"{section.name}: kind must be one of {tuple(table)}, got {kind!r}")
     own = {f.name for f in fields(table[kind])}
     for field in section.data:
         if field != "kind" and field not in own:
@@ -130,17 +141,8 @@ def _kind(section: _Section, table: Mapping[str, type]) -> tuple[str, type]:
 
 
 def _build(section: _Section, cls: type):
-    """``cls`` from the section's fields, typed and defaulted as its dataclass declares."""
-    types = get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        values[f.name] = section.get(
-            f.name, types[f.name], required=f.default is MISSING, default=f.default
-        )
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{section.name}: {exc}") from exc
+    """``cls`` from the section's fields, defaulted as its dataclass declares."""
+    return section.build(cls, **section.values(cls))
 
 
 def _kind_of(table: Mapping[str, type], value: Any) -> str:
@@ -152,32 +154,15 @@ def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
     root.reject_unknown(("model", "scheme", "rule", "protocol", "output", "sweep"))
 
     model = _Section("model", root.data.get("model"))
-    model.reject_unknown(
-        (
-            "side_length",
-            "b",
-            "punishment",
-            "initial_coop_probability",
-            "initial_exact_fraction",
-        )
+    model.reject_unknown((*(f.name for f in fields(PayoffParams)), *MODEL_FIELDS))
+    run = model.build(
+        RunConfig,
+        payoff=_build(model, PayoffParams),
+        scheme=NoInterference(),
+        rule=Deterministic(),
+        **model.values(RunConfig, MODEL_FIELDS),
     )
-    side_length = model.get("side_length", int, required=True)
-    b = model.get("b", float, required=True)
-    punishment = model.get("punishment", float, default=0.0)
-    initial_coop = model.get("initial_coop_probability", float, default=0.5)
-    exact_fraction = model.get("initial_exact_fraction", bool, default=False)
-    try:
-        run = RunConfig(
-            side_length=side_length,
-            payoff=PayoffParams(b=b, punishment=punishment),
-            scheme=NoInterference(),
-            rule=Deterministic(),
-            initial_coop_probability=initial_coop,
-            initial_exact_fraction=exact_fraction,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    z = side_length * side_length
+    z = run.side_length * run.side_length
 
     has_sweep = "sweep" in root.data
     scheme = _Section("scheme", root.data.get("scheme"))
@@ -191,69 +176,37 @@ def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
             )
     else:
         if family is Pop and "p_c" in scheme.data:
-            scheme.data["p_c"] = _fraction_from(scheme.get("p_c", float), z, "scheme.p_c")
+            scheme.data["p_c"] = _as_fraction(scheme.data["p_c"], z, "scheme: p_c")
         run = replace(run, scheme=_build(scheme, family))
 
     rule = _Section("rule", root.data.get("rule"))
     run = replace(run, rule=_build(rule, _kind(rule, RULES)[1]))
 
     protocol = _Section("protocol", root.data.get("protocol"))
-    protocol.reject_unknown(
-        (
-            "generations",
-            "measure_window",
-            "replicates",
-            "base_seed",
-            "early_stop_on_homogeneous",
-        )
+    protocol.reject_unknown((*PROTOCOL_FIELDS, "replicates"))
+    run = protocol.build(replace, run, **protocol.values(RunConfig, PROTOCOL_FIELDS))
+    config = protocol.build(
+        ExperimentConfig, run, **protocol.values(ExperimentConfig, ("replicates",))
     )
-    generations = protocol.get("generations", int, default=200)
-    measure_window = protocol.get("measure_window", int, default=50)
-    replicates = protocol.get("replicates", int, default=1)
-    base_seed = protocol.get("base_seed", int, default=0)
-    early_stop = protocol.get("early_stop_on_homogeneous", bool, default=True)
-    if replicates < 1:
-        raise ConfigError(f"protocol.replicates: must be >= 1, got {replicates}")
-    try:
-        run = replace(
-            run,
-            generations=generations,
-            measure_window=measure_window,
-            seed=base_seed,
-            early_stop_on_homogeneous=early_stop,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"protocol: {exc}") from exc
 
     output = _Section("output", root.data.get("output"))
-    output.reject_unknown(("directory", "label"))
-    output_dir = output.get("directory", str, default="runs")
-    label = output.get("label", str, default="experiment")
+    output.reject_unknown(OUTPUT_FIELDS)
+    config = output.build(replace, config, **output.values(ExperimentConfig, OUTPUT_FIELDS))
 
-    sweep = None
     if has_sweep:
         section = _Section("sweep", root.data.get("sweep"))
-        section.reject_unknown(("theta_values", "threshold_values"))
-        thresholds = section.get_float_list("threshold_values", required=True)
-        thetas = section.get_float_list("theta_values", required="theta" in get_type_hints(family))
-        if thetas is None:
-            thetas = (1.0,)  # placeholder; this family takes no theta
+        axes = ("theta_values", "threshold_values")
+        section.reject_unknown(axes)
+        if "theta" not in {f.name for f in fields(family)}:
+            section.data.setdefault("theta_values", [1.0])  # placeholder; no theta to set
+        values = section.values(SweepSpec, axes)
         if family is Pop:
-            thresholds = tuple(_fraction_from(v, z, "sweep.threshold_values") for v in thresholds)
-        try:
-            sweep = SweepSpec(
-                base=run,
-                scheme_kind=scheme_kind,
-                theta_values=thetas,
-                threshold_values=thresholds,
-                replicates=replicates,
+            values["threshold_values"] = _as_fraction(
+                values["threshold_values"], z, "sweep: threshold_values"
             )
-        except ValueError as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
-
-    return ExperimentConfig(
-        run=run, replicates=replicates, output_dir=output_dir, label=label, sweep=sweep
-    )
+        sweep = section.build(SweepSpec, run, scheme_kind, replicates=config.replicates, **values)
+        config = replace(config, sweep=sweep)
+    return config
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -281,6 +234,10 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(read_utf8(path, "config"))
 
 
+def _keyed(obj: Any, names: tuple[str, ...]) -> dict:
+    return {KEYS.get(name, name): getattr(obj, name) for name in names}
+
+
 def config_dict(config: ExperimentConfig) -> dict:
     """Nested section layout of the effective config (round-trips via parse)."""
     run = config.run
@@ -289,23 +246,11 @@ def config_dict(config: ExperimentConfig) -> dict:
     else:
         scheme = {"kind": config.sweep.scheme_kind}
     doc: dict[str, Any] = {
-        "model": {
-            "side_length": run.side_length,
-            "b": run.payoff.b,
-            "punishment": run.payoff.punishment,
-            "initial_coop_probability": run.initial_coop_probability,
-            "initial_exact_fraction": run.initial_exact_fraction,
-        },
+        "model": {**asdict(run.payoff), **_keyed(run, MODEL_FIELDS)},
         "scheme": scheme,
         "rule": {"kind": _kind_of(RULES, run.rule), **asdict(run.rule)},
-        "protocol": {
-            "generations": run.generations,
-            "measure_window": run.measure_window,
-            "replicates": config.replicates,
-            "base_seed": run.seed,
-            "early_stop_on_homogeneous": run.early_stop_on_homogeneous,
-        },
-        "output": {"directory": config.output_dir, "label": config.label},
+        "protocol": {**_keyed(run, PROTOCOL_FIELDS), "replicates": config.replicates},
+        "output": _keyed(config, OUTPUT_FIELDS),
     }
     if config.sweep is not None:
         doc["sweep"] = {

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .game import ScoreField
-from .grid import Grid, best_of, neighbour_field, wrap_pad
+from .grid import Grid, best_of, check_field_types, neighbour_field, wrap_pad
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class Fermi:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not self.K > 0.0:
             raise ValueError(f"noise amplitude K must be > 0, got {self.K}")
         if not 0.0 <= self.mu <= 1.0:

@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import Deterministic, Fermi, UpdateRule, step
-from .game import PayoffParams, by_code, compute_scores, paid_score_table, rank_table
-from .grid import MIN_SIDE_LENGTH, Grid, Strategy, coop_count, random_grid
+from .game import PayoffParams, by_code, compute_scores, rank_table, score_table
+from .grid import MIN_SIDE_LENGTH, Grid, Strategy, check_field_types, coop_count, random_grid
 from .grid import grid_hash  # noqa: F401 (perfbench looks grid.grid_hash up here only)
 from .interference import InterferenceScheme, apply
 
@@ -55,11 +55,7 @@ class RunConfig:
     early_stop_on_homogeneous: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("side_length", "generations", "measure_window", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # NumPy integers become plain ints
+        check_field_types(self)
         if self.side_length < MIN_SIDE_LENGTH:
             raise ValueError(f"side_length must be >= {MIN_SIDE_LENGTH}, got {self.side_length}")
         if self.generations < 1:
@@ -121,7 +117,7 @@ def step_generation(
     if outcome.n_c is None:
         scores = base + outcome.surplus
     else:
-        table = rank_table if isinstance(rule, Deterministic) else paid_score_table
+        table = rank_table if isinstance(rule, Deterministic) else score_table
         scores = by_code(g.code, table(payoff, outcome.theta, outcome.n_c))
     return step(g, scores, rule, rng), outcome.generation_cost
 

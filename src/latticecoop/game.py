@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, Strategy
+from .grid import Grid, Strategy, check_field_types
 
 # Score of one agent per generation is the sum over 4 encounters.
 REWARD = 1.0
@@ -34,6 +34,7 @@ class PayoffParams:
     punishment: float = 0.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not B_MIN < self.b <= B_MAX:
             raise ValueError(f"temptation b must satisfy {B_MIN} < b <= {B_MAX}, got {self.b}")
         if not 0.0 <= self.punishment < REWARD:
@@ -50,44 +51,32 @@ def pair_payoff(me: Strategy, other: Strategy, params: PayoffParams) -> float:
 
 
 @lru_cache(maxsize=256)
-def score_table(params: PayoffParams) -> np.ndarray:
-    """The ten base scores, indexed by a cell's code ``5 * strategy + k``.
+def score_table(params: PayoffParams, theta: float = 0.0, n_c: int = 4) -> np.ndarray:
+    """The ten scores by a cell's code ``5 * strategy + k``, after a flat investment
+    of ``theta`` in each cooperator with k <= n_c (by default none: the base scores).
 
     A defector with k cooperating neighbours scores k*b + (4-k)*P, a
-    cooperator with k cooperating neighbours scores exactly k.
+    cooperator with k cooperating neighbours scores exactly k, plus ``theta``
+    if paid. Each entry is the float that ``base + surplus`` holds for such a
+    cell, so a lookup in this table equals that sum bit for bit.
     """
     k = np.arange(5)
     defect = k * params.b + (4 - k) * params.punishment
     table = np.concatenate((defect, k * REWARD + (4 - k) * SUCKER))
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=256)
-def paid_score_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
-    """The ten scores of a flat investment, by code: ``score_table`` plus ``theta``
-    for a cooperator (code ``5 + k``) with k <= n_c.
-
-    Each entry is the float that ``base + surplus`` holds for such a cell, so
-    a lookup in this table equals that sum bit for bit.
-    """
-    scores = score_table(params).tolist()
-    for k in range(n_c + 1):
-        scores[5 + k] += theta
-    table = np.array(scores)
+    table[5 : 6 + n_c] += theta
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=256)
 def rank_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
-    """Dense uint8 ranks (0..9) of ``paid_score_table(params, theta, n_c)``, by code.
+    """Dense uint8 ranks (0..9) of ``score_table(params, theta, n_c)``, by code.
 
     Equal floats share a rank and the order is kept, so imitate-best picks
     the same strategy from these ranks as from the float scores. Ranked in
     Python: ``np.unique`` would first map ~0.5 MB of NumPy's sort code.
     """
-    scores = paid_score_table(params, theta, n_c).tolist()
+    scores = score_table(params, theta, n_c).tolist()
     levels = sorted(set(scores))
     ranks = np.array([levels.index(score) for score in scores], dtype=np.uint8)
     ranks.setflags(write=False)

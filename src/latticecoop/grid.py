@@ -10,9 +10,11 @@ update rules relies on.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import cached_property
+from functools import cache, cached_property
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -90,6 +92,61 @@ class Grid:
 def _frozen(values: np.ndarray) -> np.ndarray:
     values.setflags(write=False)
     return values
+
+
+# Per declared field type: the values it accepts and how an error names them.
+# Python counts a bool as an int, so only a bool field takes one; NumPy's
+# np.bool_ is neither Integral nor Real.
+_SCALARS = {
+    bool: ((bool, np.bool_), "true or false"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+}
+
+
+@cache
+def _checked_fields(cls: type) -> tuple[tuple, ...]:
+    """(name, type, accepted types, description, whether a tuple of them) of each
+    field of ``cls`` that ``check_field_types`` covers."""
+    hints = get_type_hints(cls)
+    checked = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        many = get_origin(hint) is tuple
+        typ = get_args(hint)[0] if many else hint
+        if typ in _SCALARS:
+            checked.append((f.name, typ, *_SCALARS[typ], many))
+    return tuple(checked)
+
+
+def _accepts(value, typ: type, accepts) -> bool:
+    return isinstance(value, accepts) and (typ is bool or not isinstance(value, bool))
+
+
+def check_field_types(obj) -> None:
+    """Check each bool, int, float or str field of a frozen config dataclass against
+    its declared type, and store it as that plain Python type.
+
+    NumPy integers pass as ints, any real number as a float. A ``tuple[...]``
+    of such a type takes a tuple, list or 1-D array whose items each pass, and
+    is stored as a tuple. Other fields (nested dataclasses, unions) are not
+    checked. A wrong type raises ValueError naming the field.
+    """
+    for name, typ, accepts, described, many in _checked_fields(type(obj)):
+        value = getattr(obj, name)
+        if many:
+            listed = isinstance(value, (tuple, list)) or (
+                isinstance(value, np.ndarray) and value.ndim == 1
+            )
+            if not (listed and all(_accepts(item, typ, accepts) for item in value)):
+                raise ValueError(f"{name} must be a list, each item {described}, got {value!r}")
+            value = tuple(map(typ, value))
+        elif _accepts(value, typ, accepts):
+            value = typ(value)
+        else:
+            raise ValueError(f"{name} must be {described}, got {value!r}")
+        object.__setattr__(obj, name, value)
 
 
 def neighbours(i: int, side_length: int) -> tuple[int, int, int, int]:

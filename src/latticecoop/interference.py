@@ -28,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from .game import ScoreField
-from .grid import Grid, Strategy, _frozen, best_of, coop_count, neighbour_field
+from .grid import Grid, Strategy, _frozen, best_of, check_field_types, coop_count, neighbour_field
 
 # Tolerance absorbing float rounding when a fractional population threshold
 # is scaled to a count (e.g. 0.7 * 10000 evaluating just below 7000).
@@ -52,6 +52,7 @@ class Pop:
     theta: float
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 <= self.p_c <= 1.0:
             raise ValueError(f"p_c must be in [0, 1], got {self.p_c}")
         if not 0.0 < self.theta < math.inf:
@@ -66,6 +67,7 @@ class Neb:
     theta: float
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.n_c not in (0, 1, 2, 3, 4):
             raise ValueError(f"n_c must be an integer in 0..4, got {self.n_c}")
         if not 0.0 < self.theta < math.inf:
@@ -79,6 +81,7 @@ class NebI:
     eps: float
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
@@ -90,6 +93,7 @@ class NebII:
     eps: float
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
@@ -101,7 +105,7 @@ InterferenceScheme = Union[NoInterference, Pop, Neb, NebI, NebII]
 SCHEMES = {"none": NoInterference, "pop": Pop, "neb": Neb, "neb_i": NebI, "neb_ii": NebII}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvestmentOutcome:
     """Per-agent surplus plus the decision-maker's total cost this generation.
 

@@ -12,7 +12,7 @@ import json
 import math
 import time
 from contextlib import closing
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice, product
 from typing import get_type_hints
 
@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import AggregateCell, aggregate
 from .engine import RunConfig, derive_seed, run_many
+from .grid import check_field_types
 from .interference import SCHEMES, InterferenceScheme
 
 ARTIFACT_VERSION = "0.1.0"
@@ -44,14 +45,11 @@ class SweepSpec:
     replicates: int
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         family = SCHEMES.get(self.scheme_kind)
         if family is None or not fields(family):
             families = tuple(kind for kind, cls in SCHEMES.items() if fields(cls))
             raise ValueError(f"scheme_kind must be one of {families}, got {self.scheme_kind!r}")
-        object.__setattr__(self, "theta_values", tuple(float(t) for t in self.theta_values))
-        object.__setattr__(
-            self, "threshold_values", tuple(float(t) for t in self.threshold_values)
-        )
         _check_values("theta_values", self.theta_values)
         _check_values("threshold_values", self.threshold_values)
         if any(t <= 0 for t in self.theta_values):
@@ -123,6 +121,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[Aggregat
 
 def sweep_metadata(spec: SweepSpec) -> dict:
     """Sidecar describing the sweep: parameters, seed, timestamp, version."""
+    from .config import MODEL_FIELDS, PROTOCOL_FIELDS  # config imports this module
+
     base = spec.base
     return {
         "artifact_version": ARTIFACT_VERSION,
@@ -134,17 +134,15 @@ def sweep_metadata(spec: SweepSpec) -> dict:
         "base_seed": base.seed,
         "cost_normalisation": "raw totals (no 1e7 division applied)",
         "run_config": {
-            "side_length": base.side_length,
-            "b": base.payoff.b,
-            "punishment": base.payoff.punishment,
+            **asdict(base.payoff),
+            **{
+                name: getattr(base, name)
+                for name in (*MODEL_FIELDS, *PROTOCOL_FIELDS)
+                if name != "seed"  # given above as base_seed
+            },
             "rule": type(base.rule).__name__,
             "K": getattr(base.rule, "K", None),
             "mu": getattr(base.rule, "mu", None),
-            "generations": base.generations,
-            "measure_window": base.measure_window,
-            "initial_coop_probability": base.initial_coop_probability,
-            "initial_exact_fraction": base.initial_exact_fraction,
-            "early_stop_on_homogeneous": base.early_stop_on_homogeneous,
         },
     }
 

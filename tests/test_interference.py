@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecoop.analysis import lone_defector_grid
-from latticecoop.game import PayoffParams, by_code, compute_scores, paid_score_table
+from latticecoop.game import PayoffParams, by_code, compute_scores, score_table
 from latticecoop.grid import Grid, Strategy, coop_count, random_grid
 from latticecoop.interference import (
     InvestmentOutcome,
@@ -302,8 +302,23 @@ def test_flat_cost_is_the_surplus_sum_bit_for_bit(g, n_c, data):
 def test_paid_scores_equal_base_plus_surplus(g, params, n_c, theta):
     base = compute_scores(g, params)
     expected = base + apply(Neb(n_c=n_c, theta=theta), g, base).surplus
-    got = by_code(g.code, paid_score_table(params, theta, n_c))
+    got = by_code(g.code, score_table(params, theta, n_c))
     assert got.tobytes() == expected.tobytes()
+
+
+@given(payoffs(), st.integers(0, 4))
+def test_score_table_at_zero_theta_is_the_base_table(params, n_c):
+    assert score_table(params, 0.0, n_c).tobytes() == score_table(params).tobytes()
+
+
+@pytest.mark.parametrize("scheme", [NoInterference(), Neb(n_c=3, theta=2.0), NebI(eps=0.5)])
+def test_outcome_equality_and_hash_do_not_raise(scheme):
+    # flat outcomes hold a Grid, the others a surplus array: both compare by identity
+    g = random_grid(6, 0.5, np.random.default_rng(1))
+    base = compute_scores(g, PayoffParams(b=1.8))
+    a, b = apply(scheme, g, base), apply(scheme, g, base)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 @pytest.mark.parametrize("scheme", [Pop(p_c=1.0, theta=4.0), Neb(n_c=3, theta=4.0)])
