@@ -38,7 +38,11 @@ def main() -> int:
 
     def cfg(scheme):
         return RunConfig(
-            side_length=args.side_length, payoff=pay, scheme=scheme, rule=Deterministic()
+            side_length=args.side_length,
+            payoff=pay,
+            scheme=scheme,
+            rule=Deterministic(),
+            seed=args.base_seed,
         )
 
     out = Path(args.out)
@@ -55,7 +59,6 @@ def main() -> int:
                     ("neb_ii", cfg(NebII(eps=eps))),
                 ],
                 n=args.replicates,
-                base_seed=args.base_seed,
                 workers=args.workers,
             )
             for label, cost in table:

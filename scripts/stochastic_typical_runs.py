@@ -40,8 +40,10 @@ def main() -> int:
         ("neb3", Neb(n_c=3, theta=args.theta)),
         ("pop_full", Pop(p_c=1.0, theta=args.theta)),
     ):
-        cfg = RunConfig(side_length=args.side_length, payoff=pay, scheme=scheme, rule=rule)
-        results = run_replicates(cfg, args.replicates, args.base_seed, workers=args.workers)
+        cfg = RunConfig(
+            side_length=args.side_length, payoff=pay, scheme=scheme, rule=rule, seed=args.base_seed
+        )
+        results = run_replicates(cfg, args.replicates, workers=args.workers)
         write_metrics_csv(
             out_dir / f"{name}_metrics.csv",
             [(f"rep{i:03d}", r) for i, r in enumerate(results)],

@@ -76,9 +76,7 @@ def lone_defector_grid(side_length: int = 10) -> Grid:
     return Grid(cells)
 
 
-def microscopic_check(
-    b: float, theta: float, scheme: InterferenceScheme, side_length: int = 10
-) -> MicroOutcome:
+def microscopic_check(b: float, scheme: InterferenceScheme, side_length: int = 10) -> MicroOutcome:
     """One deterministic generation from the lone-defector grid, classified.
 
     The scheme must invest in the cooperators of this configuration for the
@@ -96,7 +94,7 @@ def microscopic_check(
     if after_coop < before_coop:
         return MicroOutcome.C_CONVERTS
     raise RuntimeError(
-        f"unclassifiable one-step outcome at b={b}, theta={theta}: "
+        f"unclassifiable one-step outcome at b={b}, {scheme}: "
         f"coop {before_coop} -> {after_coop}"
     )
 
@@ -147,7 +145,7 @@ def verify_thresholds(b: float, n_points: int = 50, side_length: int = 10) -> Ve
             skipped.append(theta)
             continue
         expected = classify_pop_regime(b, theta)
-        observed = microscopic_check(b, theta, Pop(p_c=1.0, theta=theta), side_length)
+        observed = microscopic_check(b, Pop(p_c=1.0, theta=theta), side_length)
         checked.append(theta)
         if observed != expected:
             mismatches.append(RegimeMismatch(b, theta, expected, observed))
@@ -198,16 +196,16 @@ def aggregate(results: Sequence[RunResult], theta: float, threshold: float) -> A
 
 
 def cost_comparison(
-    configs: Sequence[tuple[str, RunConfig]],
-    n: int,
-    base_seed: int,
-    workers: int = 1,
+    configs: Sequence[tuple[str, RunConfig]], n: int, workers: int = 1
 ) -> list[tuple[str, float]]:
-    """Mean total interference cost per labelled configuration, n replicates each."""
+    """Mean total interference cost per labelled configuration, n replicates each.
+
+    Each label's replicates derive from its own config's seed.
+    """
     labels = [label for label, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValueError(f"labels must be distinct, got {labels}")
-    jobs = [job for _, config in configs for job in replicate_configs(config, n, base_seed)]
+    jobs = [job for _, config in configs for job in replicate_configs(config, n)]
     results = run_many(jobs, workers)
     return [
         (label, float(np.mean([r.total_cost for r in islice(results, n)]))) for label in labels

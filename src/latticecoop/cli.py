@@ -58,17 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute the configured run/replicates")
-    p_run.add_argument("--config", required=True, help="experiment config file (YAML)")
-    p_run.add_argument("--seed", type=int, default=None, help="override protocol.base_seed")
-    p_run.add_argument("--out", default=None, help="override output.directory")
-    p_run.add_argument("--workers", type=positive_int, default=_default_workers())
-
-    p_sweep = sub.add_parser("sweep", help="run the configured (theta x threshold) sweep")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--seed", type=int, default=None, help="override protocol.base_seed")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--workers", type=positive_int, default=_default_workers())
+    experiment = argparse.ArgumentParser(add_help=False)  # the options run and sweep share
+    experiment.add_argument("--config", required=True, help="experiment config file (YAML)")
+    experiment.add_argument("--seed", type=int, default=None, help="override protocol.base_seed")
+    experiment.add_argument("--out", default=None, help="override output.directory")
+    experiment.add_argument("--workers", type=positive_int, default=_default_workers())
+    sub.add_parser("run", parents=[experiment], help="execute the configured run/replicates")
+    sub.add_parser(
+        "sweep", parents=[experiment], help="run the configured (theta x threshold) sweep"
+    )
 
     p_verify = sub.add_parser(
         "verify", help="check one-step simulations against the closed-form thresholds"
@@ -109,7 +107,7 @@ def cmd_run(args) -> int:
     config = with_overrides(load_config(args.config), seed=args.seed, output_dir=args.out)
     run_config = config.run_config()
     with _staged(config) as stage:
-        results = run_replicates(run_config, config.replicates, run_config.seed, args.workers)
+        results = run_replicates(run_config, config.replicates, args.workers)
         labelled = [(f"rep{i:03d}", result) for i, result in enumerate(results)]
         write_metrics_csv(stage("metrics.csv"), labelled)
         for run_id, result in labelled:

@@ -122,7 +122,7 @@ def _as_fraction(value: Any, z: int, where: str) -> Any:
         return [_as_fraction(item, z, where) for item in value]
     if not (isinstance(value, (int, float)) and value > 1):
         return value
-    if not float(value).is_integer() or value > z:
+    if value > z or not float(value).is_integer():  # a huge int fails the first test
         raise ConfigError(f"{where} count form must be an integer in 1..Z={z}, got {value}")
     return value / z
 

@@ -206,22 +206,22 @@ def _stationary_fraction(
     return float(np.mean([rec.coop_count for rec in window]) / z)
 
 
-def derive_seed(base_seed: int, *indices: int) -> int:
-    """Deterministic 64-bit child seed from a base seed and index path.
+def derive_seed(seed: int, *indices: int) -> int:
+    """Deterministic 64-bit child seed from a parent seed and index path.
 
-    Feeds (base_seed, *indices) into numpy's SeedSequence entropy mixer, so
+    Feeds (seed, *indices) into numpy's SeedSequence entropy mixer, so
     replicates and sweep cells get independent streams in any execution
     order.
     """
-    ss = np.random.SeedSequence([base_seed, *indices])
+    ss = np.random.SeedSequence([seed, *indices])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def replicate_configs(config: RunConfig, n: int, base_seed: int) -> list[RunConfig]:
-    """The n per-replicate configs, seeded from (base_seed, replicate index)."""
+def replicate_configs(config: RunConfig, n: int) -> list[RunConfig]:
+    """The n per-replicate configs, seeded from (config.seed, replicate index)."""
     if n < 1:
         raise ValueError(f"replicate count must be >= 1, got {n}")
-    return [replace(config, seed=derive_seed(base_seed, i)) for i in range(n)]
+    return [replace(config, seed=derive_seed(config.seed, i)) for i in range(n)]
 
 
 def run_many(configs: Sequence[RunConfig], workers: int = 1) -> Iterator[RunResult]:
@@ -237,9 +237,9 @@ def run_many(configs: Sequence[RunConfig], workers: int = 1) -> Iterator[RunResu
         yield from pool.map(run, configs)
 
 
-def run_replicates(config: RunConfig, n: int, base_seed: int, workers: int = 1) -> list[RunResult]:
-    """n independent runs, ordered by replicate index regardless of scheduling."""
-    return list(run_many(replicate_configs(config, n, base_seed), workers))
+def run_replicates(config: RunConfig, n: int, workers: int = 1) -> list[RunResult]:
+    """n independent runs seeded from config.seed, in replicate order however scheduled."""
+    return list(run_many(replicate_configs(config, n), workers))
 
 
 METRICS_HEADER = ("run_id", "generation", "coop_count", "coop_fraction", "gen_cost", "cum_cost")

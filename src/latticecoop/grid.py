@@ -131,7 +131,8 @@ def check_field_types(obj) -> None:
     NumPy integers pass as ints, any real number as a float. A ``tuple[...]``
     of such a type takes a tuple, list or 1-D array whose items each pass, and
     is stored as a tuple. Other fields (nested dataclasses, unions) are not
-    checked. A wrong type raises ValueError naming the field.
+    checked. A wrong type, or an integer too large for a float field, raises
+    ValueError naming the field.
     """
     for name, typ, accepts, described, many in _checked_fields(type(obj)):
         value = getattr(obj, name)
@@ -141,11 +142,12 @@ def check_field_types(obj) -> None:
             )
             if not (listed and all(_accepts(item, typ, accepts) for item in value)):
                 raise ValueError(f"{name} must be a list, each item {described}, got {value!r}")
-            value = tuple(map(typ, value))
-        elif _accepts(value, typ, accepts):
-            value = typ(value)
-        else:
+        elif not _accepts(value, typ, accepts):
             raise ValueError(f"{name} must be {described}, got {value!r}")
+        try:
+            value = tuple(map(typ, value)) if many else typ(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float, got {value!r}") from None
         object.__setattr__(obj, name, value)
 
 

@@ -1,9 +1,9 @@
 """Cartesian (theta x threshold) parameter sweeps with per-cell seeding.
 
-Every cell's replicate seeds derive from (base seed, theta value bits,
-threshold value bits, replicate index), so cells are independent: adding or
-removing cells never changes another cell's numbers, and any execution
-schedule produces the same table.
+Every cell's replicate seeds derive from (the base run's seed, theta value
+bits, threshold value bits, replicate index), so cells are independent:
+adding or removing cells never changes another cell's numbers, and any
+execution schedule produces the same table.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 import time
 from contextlib import closing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from itertools import islice, product
 from typing import get_type_hints
 
@@ -121,8 +121,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[Aggregat
 
 def sweep_metadata(spec: SweepSpec) -> dict:
     """Sidecar describing the sweep: parameters, seed, timestamp, version."""
-    from .config import MODEL_FIELDS, PROTOCOL_FIELDS  # config imports this module
-
     base = spec.base
     return {
         "artifact_version": ARTIFACT_VERSION,
@@ -135,10 +133,10 @@ def sweep_metadata(spec: SweepSpec) -> dict:
         "cost_normalisation": "raw totals (no 1e7 division applied)",
         "run_config": {
             **asdict(base.payoff),
-            **{
-                name: getattr(base, name)
-                for name in (*MODEL_FIELDS, *PROTOCOL_FIELDS)
-                if name != "seed"  # given above as base_seed
+            **{  # the scalar fields but seed, which is written above
+                f.name: getattr(base, f.name)
+                for f in fields(base)
+                if f.name != "seed" and not is_dataclass(getattr(base, f.name))
             },
             "rule": type(base.rule).__name__,
             "K": getattr(base.rule, "K", None),

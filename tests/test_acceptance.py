@@ -56,7 +56,7 @@ def _budget(number: int, name: str, elapsed: float, budget: float) -> None:
 def test_criterion_1_microscopic_regimes():
     t0 = time.perf_counter()
     outcomes = {
-        theta: microscopic_check(B, theta, Pop(p_c=1.0, theta=theta))
+        theta: microscopic_check(B, Pop(p_c=1.0, theta=theta))
         for theta in (4.3, 4.1, 3.0)
     }
     ok = outcomes == {
@@ -73,13 +73,13 @@ def test_criterion_2_neb3_thresholds():
     t0 = time.perf_counter()
     base = RunConfig(side_length=100, payoff=PAY, scheme=Neb(n_c=3, theta=5.3), rule=Deterministic())
 
-    above = run_replicates(base, 50, base_seed=20_001)
+    above = run_replicates(replace(base, seed=20_001), 50)
     all_c = all(
         r.termination == Termination.HOMOGENEOUS_C and r.stationary_coop_fraction == 1.0
         for r in above
     )
 
-    below = run_replicates(replace(base, scheme=Neb(n_c=3, theta=5.1)), 50, base_seed=20_002)
+    below = run_replicates(replace(base, scheme=Neb(n_c=3, theta=5.1), seed=20_002), 50)
     cyclic = sum(
         1
         for r in below
@@ -145,12 +145,12 @@ def test_criterion_4_cost_ordering():
     ok = True
     for eps in (0.1, 0.5, 1.0):
         labelled = [
-            ("neb3", RunConfig(100, PAY, Neb(n_c=3, theta=4 * B - 2 + eps), Deterministic())),
-            ("neb4", RunConfig(100, PAY, Neb(n_c=4, theta=4 * B - 3 + eps), Deterministic())),
-            ("neb_i", RunConfig(100, PAY, NebI(eps=eps), Deterministic())),
-            ("neb_ii", RunConfig(100, PAY, NebII(eps=eps), Deterministic())),
+            ("neb3", RunConfig(100, PAY, Neb(n_c=3, theta=4 * B - 2 + eps), Deterministic(), seed=40_000)),
+            ("neb4", RunConfig(100, PAY, Neb(n_c=4, theta=4 * B - 3 + eps), Deterministic(), seed=40_000)),
+            ("neb_i", RunConfig(100, PAY, NebI(eps=eps), Deterministic(), seed=40_000)),
+            ("neb_ii", RunConfig(100, PAY, NebII(eps=eps), Deterministic(), seed=40_000)),
         ]
-        table = dict(cost_comparison(labelled, n=50, base_seed=40_000))
+        table = dict(cost_comparison(labelled, n=50))
         ordered = (
             table["neb3"] < table["neb4"]
             and table["neb_ii"] <= table["neb_i"] <= 1.1 * table["neb3"]
@@ -170,8 +170,8 @@ def test_criterion_5_stochastic_costs():
     fermi = Fermi(K=0.3, mu=0.0)
     neb = RunConfig(side_length=100, payoff=PAY, scheme=Neb(n_c=3, theta=3.0), rule=fermi)
     pop = RunConfig(side_length=100, payoff=PAY, scheme=Pop(p_c=1.0, theta=3.0), rule=fermi)
-    neb_cost = float(np.mean([r.total_cost for r in run_replicates(neb, 20, base_seed=50_001)]))
-    pop_cost = float(np.mean([r.total_cost for r in run_replicates(pop, 20, base_seed=50_002)]))
+    neb_cost = float(np.mean([r.total_cost for r in run_replicates(replace(neb, seed=50_001), 20)]))
+    pop_cost = float(np.mean([r.total_cost for r in run_replicates(replace(pop, seed=50_002), 20)]))
     ratio = pop_cost / neb_cost
     ok = 0.7e5 <= neb_cost <= 7e5 and 0.7e6 <= pop_cost <= 7e6 and ratio >= 5.0
     elapsed = time.perf_counter() - t0
@@ -192,7 +192,7 @@ def test_criterion_6_pop_needs_high_threshold():
         cfg = RunConfig(
             side_length=100, payoff=PAY, scheme=Pop(p_c=p_c, theta=4.5), rule=Deterministic()
         )
-        results = run_replicates(cfg, 50, base_seed=60_000)
+        results = run_replicates(replace(cfg, seed=60_000), 50)
         cells.append(aggregate(results, theta=4.5, threshold=p_c))
     low_ok = cells[0].mean_coop_fraction < 0.6
     full_ok = cells[-1].mean_coop_fraction == 1.0
@@ -327,7 +327,7 @@ def test_criterion_8_property_suite(tmp_path):
     )
     paths = []
     for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
-        results = run_replicates(fermi_cfg, 3, base_seed=123, workers=workers)
+        results = run_replicates(replace(fermi_cfg, seed=123), 3, workers=workers)
         path = tmp_path / f"metrics_{tag}.csv"
         write_metrics_csv(path, [(f"rep{i:03d}", r) for i, r in enumerate(results)])
         paths.append(path.read_bytes())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,9 +61,9 @@ def test_lone_defector_grid_shape():
 
 
 def test_microscopic_check_regimes():
-    assert microscopic_check(1.8, 4.3, Pop(p_c=1.0, theta=4.3)) == MicroOutcome.D_CONVERTS
-    assert microscopic_check(1.8, 4.1, Pop(p_c=1.0, theta=4.1)) == MicroOutcome.STABLE
-    assert microscopic_check(1.8, 3.0, Pop(p_c=1.0, theta=3.0)) == MicroOutcome.C_CONVERTS
+    assert microscopic_check(1.8, Pop(p_c=1.0, theta=4.3)) == MicroOutcome.D_CONVERTS
+    assert microscopic_check(1.8, Pop(p_c=1.0, theta=4.1)) == MicroOutcome.STABLE
+    assert microscopic_check(1.8, Pop(p_c=1.0, theta=3.0)) == MicroOutcome.C_CONVERTS
 
 
 def test_classify_pop_regime_directions():
@@ -101,7 +103,7 @@ def test_aggregate_single_result():
         scheme=Neb(n_c=3, theta=5.3),
         rule=Deterministic(),
     )
-    [result] = run_replicates(cfg, 1, base_seed=3)
+    [result] = run_replicates(replace(cfg, seed=3), 1)
     cell = aggregate([result], theta=5.3, threshold=3)
     assert cell.mean_coop_fraction == result.stationary_coop_fraction
     assert cell.mean_total_cost == result.total_cost
@@ -152,8 +154,9 @@ def test_cost_comparison_deterministic_and_labelled():
         ("neb3", RunConfig(side_length=12, payoff=pay, scheme=Neb(n_c=3, theta=5.3), rule=Deterministic())),
         ("neb4", RunConfig(side_length=12, payoff=pay, scheme=Neb(n_c=4, theta=4.3), rule=Deterministic())),
     ]
-    table_a = cost_comparison(configs, n=3, base_seed=1)
-    table_b = cost_comparison(configs, n=3, base_seed=1)
+    configs = [(label, replace(cfg, seed=1)) for label, cfg in configs]
+    table_a = cost_comparison(configs, n=3)
+    table_b = cost_comparison(configs, n=3)
     assert table_a == table_b
     assert [label for label, _ in table_a] == ["neb3", "neb4"]
 
@@ -164,16 +167,32 @@ def test_cost_comparison_worker_count_invariance():
         ("pop", RunConfig(side_length=12, payoff=pay, scheme=Pop(p_c=0.6, theta=2.0), rule=Fermi(K=0.3))),
         ("neb3", RunConfig(side_length=12, payoff=pay, scheme=Neb(n_c=3, theta=5.3), rule=Deterministic())),
     ]
-    assert cost_comparison(configs, n=3, base_seed=2, workers=1) == cost_comparison(
-        configs, n=3, base_seed=2, workers=2
+    configs = [(label, replace(cfg, seed=2)) for label, cfg in configs]
+    assert cost_comparison(configs, n=3, workers=1) == cost_comparison(configs, n=3, workers=2)
+
+
+def test_cost_comparison_seeds_each_label_from_its_own_config():
+    cfg = RunConfig(
+        side_length=12,
+        payoff=PayoffParams(b=1.8),
+        scheme=Pop(p_c=0.6, theta=2.0),
+        rule=Fermi(K=0.3, mu=0.01),
+        generations=20,
+        measure_window=5,
     )
+    table = cost_comparison([("a", replace(cfg, seed=1)), ("b", replace(cfg, seed=2))], n=2)
+    assert table == [
+        (label, float(np.mean([r.total_cost for r in run_replicates(replace(cfg, seed=seed), 2)])))
+        for label, seed in (("a", 1), ("b", 2))
+    ]
+    assert table[0][1] != table[1][1]
 
 
 def test_cost_comparison_rejects_duplicate_labels():
     pay = PayoffParams(b=1.8)
     cfg = RunConfig(side_length=10, payoff=pay, scheme=Neb(n_c=3, theta=5.3), rule=Deterministic())
     with pytest.raises(ValueError):
-        cost_comparison([("x", cfg), ("x", cfg)], n=1, base_seed=0)
+        cost_comparison([("x", cfg), ("x", cfg)], n=1)
 
 
 def test_write_sweep_csv(tmp_path):
@@ -184,9 +203,9 @@ def test_write_sweep_csv(tmp_path):
                 payoff=PayoffParams(b=1.8),
                 scheme=Pop(p_c=1.0, theta=4.3),
                 rule=Deterministic(),
+                seed=8,
             ),
             2,
-            base_seed=8,
         ),
         theta=4.3,
         threshold=1.0,

@@ -317,6 +317,27 @@ def test_cmd_run_invalid_value_exits_config(tmp_path, capsys, model, scheme, exp
     assert all(word in err for word in expected), err
 
 
+HUGE = "9" * 400  # a YAML integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "model, scheme, prefix",
+    [
+        (f"{{side_length: 10, b: {HUGE}}}", "{kind: none}", "model: b "),
+        ("{side_length: 10, b: 1.8}", f"{{kind: neb, n_c: 3, theta: {HUGE}}}", "scheme: theta "),
+        ("{side_length: 10, b: 1.8}", f"{{kind: pop, p_c: {HUGE}, theta: 3.0}}", "scheme: p_c "),
+    ],
+)
+def test_cmd_run_integer_too_large_for_a_float_exits_config(
+    tmp_path, capsys, model, scheme, prefix
+):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"model: {model}\nscheme: {scheme}\nrule: {{kind: deterministic}}\n")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {prefix}"), err
+
+
 def test_cmd_run_unreadable_config_exits_io(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.yaml")]) == EXIT_IO
 

@@ -120,6 +120,15 @@ def test_sweep_spec_rejects_anything_but_a_list_of_numbers(values):
             replace(SPEC, **{field: values})
 
 
+
+def test_integers_too_large_for_a_float_raise_value_error():
+    huge = 10**400
+    with pytest.raises(ValueError, match="^b is too large for a float"):
+        PayoffParams(b=huge)
+    for field in ("theta_values", "threshold_values"):
+        with pytest.raises(ValueError, match=f"^{field} is too large for a float"):
+            replace(SPEC, **{field: (4.5, huge)})
+
 MINIMAL = {
     "model": "{side_length: 10, b: 1.8}",
     "scheme": "{kind: neb, n_c: 3, theta: 5.3}",

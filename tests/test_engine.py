@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,26 +158,33 @@ def test_initial_exact_fraction_start():
 
 def test_replicates_ordered_and_deterministic():
     cfg = config(rule=Fermi(K=0.3, mu=0.01), generations=15, measure_window=5)
-    first = run_replicates(cfg, 4, base_seed=99)
-    second = run_replicates(cfg, 4, base_seed=99)
+    first = run_replicates(replace(cfg, seed=99), 4)
+    second = run_replicates(replace(cfg, seed=99), 4)
     assert first == second
     # replicate i is exactly a plain run with the derived seed
     for i, result in enumerate(first):
-        assert result == run(replicate_configs(cfg, 4, 99)[i])
+        assert result == run(replicate_configs(replace(cfg, seed=99), 4)[i])
 
 
 def test_single_replicate_equals_run_with_derived_seed():
     cfg = config()
-    [result] = run_replicates(cfg, 1, base_seed=5)
-    from dataclasses import replace
-
+    [result] = run_replicates(replace(cfg, seed=5), 1)
     assert result == run(replace(cfg, seed=derive_seed(5, 0)))
+
+
+def test_replicate_seeds_derive_from_the_config_seed():
+    cfg = config(rule=Fermi(K=0.3, mu=0.01), generations=15, measure_window=5, seed=2024)
+    results = run_replicates(cfg, 3)
+    for i, result in enumerate(results):
+        assert result == run(replace(cfg, seed=derive_seed(cfg.seed, i)))
+    # the config's seed is the batch's only seed input
+    assert run_replicates(replace(cfg, seed=2025), 3) != results
 
 
 def test_worker_count_does_not_change_results():
     cfg = config(rule=Fermi(K=0.3), generations=10, measure_window=5)
-    serial = run_replicates(cfg, 3, base_seed=11, workers=1)
-    parallel = run_replicates(cfg, 3, base_seed=11, workers=2)
+    serial = run_replicates(replace(cfg, seed=11), 3, workers=1)
+    parallel = run_replicates(replace(cfg, seed=11), 3, workers=2)
     assert serial == parallel
 
 
@@ -373,7 +381,7 @@ def test_neb3_threshold_robust_at_l50():
     cfg = RunConfig(
         side_length=50, payoff=PAY, scheme=Neb(n_c=3, theta=5.3), rule=Deterministic()
     )
-    results = run_replicates(cfg, 10, base_seed=17)
+    results = run_replicates(replace(cfg, seed=17), 10)
     assert all(r.termination == Termination.HOMOGENEOUS_C for r in results)
 
 

@@ -19,6 +19,7 @@ import io
 import json
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -141,8 +142,10 @@ def cli_record(case: str, workers: int, work: Path) -> dict[str, str]:
 
 
 def cost_table_digest(workers: int = 1) -> str:
-    labelled = [(name, _config(SCHEMES[name], Fermi(K=0.3), 1.8)) for name in SCHEMES]
-    table = cost_comparison(labelled, n=3, base_seed=31, workers=workers)
+    labelled = [
+        (name, replace(_config(SCHEMES[name], Fermi(K=0.3), 1.8), seed=31)) for name in SCHEMES
+    ]
+    table = cost_comparison(labelled, n=3, workers=workers)
     text = "".join(f"{label}|{cost!r}\n" for label, cost in table)
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 

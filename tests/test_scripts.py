@@ -41,3 +41,19 @@ def test_script_runs_and_writes_outputs(script, tmp_path):
     for name in expected:
         path = tmp_path / name
         assert path.is_file() and path.stat().st_size > 0, f"{name} missing or empty"
+
+
+def test_stochastic_runs_base_seed_sets_the_run_seed(tmp_path):
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "stochastic_typical_runs.py"), "--side-length", "10",
+             "--replicates", "1", "--base-seed", seed, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "neb3_metrics.csv").read_bytes())
+    assert outputs[0] != outputs[1]
