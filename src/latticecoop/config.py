@@ -105,11 +105,15 @@ class _Section:
         return values
 
     def build(self, make, *args, **values):
-        """``make(*args, **values)``, a ValueError prefixed with the section name."""
+        """``make(*args, **values)``, a ValueError prefixed with the section name.
+
+        The error names a field first; a renamed one is named by its key.
+        """
         try:
             return make(*args, **values)
         except ValueError as exc:
-            raise ConfigError(f"{self.name}: {exc}") from exc
+            field, space, rest = str(exc).partition(" ")
+            raise ConfigError(f"{self.name}: {KEYS.get(field, field)}{space}{rest}") from exc
 
 
 def _as_fraction(value: Any, z: int, where: str) -> Any:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .game import ScoreField
-from .grid import Grid, best_of, check_field_types, neighbour_field, wrap_pad
+from .grid import Grid, best_of, check_field_types, neighbour_field, where_cells, wrap_pad
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,13 @@ def _padded_index(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return index
 
 
-def step_fermi(g: Grid, scores: ScoreField, rule: Fermi, rng: np.random.Generator) -> Grid:
+def step_fermi(
+    g: Grid,
+    scores: ScoreField | None,
+    rule: Fermi,
+    rng: np.random.Generator,
+    accept: np.ndarray | None = None,
+) -> Grid:
     """Synchronous Fermi update from a frozen copy of (g, scores).
 
     Randomness: one ``rng.random((Z, 3))`` call, i.e. three uniforms per agent
@@ -115,6 +121,11 @@ def step_fermi(g: Grid, scores: ScoreField, rule: Fermi, rng: np.random.Generato
       (self is never selected);
     * acceptance: copy the chosen neighbour's strategy iff
       u_a < fermi_probability(own score, neighbour score, K).
+
+    When every score follows from the cell's code ``5 * strategy + k``, pass
+    ``accept = game.acceptance_table(...)`` for those scores and K instead of
+    ``scores``: the probability is then looked up by the pair of codes, with
+    the same result.
     """
     length = g.side_length
     draws = rng.random((g.size, 3))
@@ -126,17 +137,26 @@ def step_fermi(g: Grid, scores: ScoreField, rule: Fermi, rng: np.random.Generato
     nbr = offsets.take(pick)
     nbr += row_starts
     nbr += columns
-    nbr_strat = wrap_pad(g.cells).take(nbr)
 
-    # Acceptance can change only agents whose chosen neighbour plays the
-    # other strategy, so the logistic is evaluated for those alone.
-    differ = np.flatnonzero(nbr_strat != g.cells)
-    gap = wrap_pad(scores).take(nbr.take(differ))
-    gap -= scores.take(differ)
-    gap /= rule.K
-    copied = differ[u_acc.take(differ) < expit(gap, out=gap)]
-    next_cells = g.cells.copy()
-    next_cells.put(copied, nbr_strat.take(copied))
+    if accept is not None:
+        # Copying a neighbour of one's own strategy changes nothing, so the
+        # test runs on every agent; a code >= 5 is a cooperator.
+        nbr_code = wrap_pad(g.code).take(nbr)
+        pair = g.code * np.uint8(10)
+        pair += nbr_code
+        copied = u_acc < accept.take(pair)
+        next_cells = where_cells(copied, (nbr_code >= 5).view(np.uint8), g.cells)
+    else:
+        # Acceptance can change only agents whose chosen neighbour plays the
+        # other strategy, so the logistic is evaluated for those alone.
+        nbr_strat = wrap_pad(g.cells).take(nbr)
+        differ = np.flatnonzero(nbr_strat != g.cells)
+        gap = wrap_pad(scores).take(nbr.take(differ))
+        gap -= scores.take(differ)
+        gap /= rule.K
+        copied = differ[u_acc.take(differ) < expit(gap, out=gap)]
+        next_cells = g.cells.copy()
+        next_cells.put(copied, nbr_strat.take(copied))
 
     if rule.mu > 0.0:
         # a mutant becomes C (1) when u_m < mu / 2, else D (0)
@@ -144,12 +164,18 @@ def step_fermi(g: Grid, scores: ScoreField, rule: Fermi, rng: np.random.Generato
     return Grid(next_cells)
 
 
-def step(g: Grid, scores: ScoreField, rule: UpdateRule, rng: np.random.Generator | None) -> Grid:
-    """Advance one generation under the configured update rule."""
+def step(
+    g: Grid,
+    scores: ScoreField | None,
+    rule: UpdateRule,
+    rng: np.random.Generator | None,
+    accept: np.ndarray | None = None,
+) -> Grid:
+    """Advance one generation under the configured update rule (``accept``: see ``step_fermi``)."""
     if isinstance(rule, Deterministic):
         return step_deterministic(g, scores)
     if isinstance(rule, Fermi):
         if rng is None:
             raise ValueError("the Fermi rule requires a random generator")
-        return step_fermi(g, scores, rule, rng)
+        return step_fermi(g, scores, rule, rng, accept)
     raise TypeError(f"unknown update rule: {rule!r}")

@@ -16,6 +16,7 @@ RunResult, byte for byte, regardless of worker count.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -24,12 +25,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import Deterministic, Fermi, UpdateRule, step
-from .game import PayoffParams, by_code, compute_scores, rank_table, score_table
+from .game import PayoffParams, acceptance_table, by_code, compute_scores, rank_table
 from .grid import MIN_SIDE_LENGTH, Grid, Strategy, check_field_types, coop_count, random_grid
 from .grid import grid_hash  # noqa: F401 (perfbench looks grid.grid_hash up here only)
-from .interference import InterferenceScheme, apply
+from .interference import FLAT_SCHEMES, InterferenceScheme, apply
 
 MAX_SEED = 2**64  # seeds are 64-bit unsigned
+# Largest L whose per-generation Fermi draw, Z = L * L rows of three float64
+# (24 bytes), stays addressable.
+MAX_SIDE_LENGTH = math.isqrt(np.iinfo(np.intp).max // 24)
 
 
 class Termination(str, Enum):
@@ -56,8 +60,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.side_length < MIN_SIDE_LENGTH:
-            raise ValueError(f"side_length must be >= {MIN_SIDE_LENGTH}, got {self.side_length}")
+        if not MIN_SIDE_LENGTH <= self.side_length <= MAX_SIDE_LENGTH:
+            raise ValueError(
+                f"side_length must be in [{MIN_SIDE_LENGTH}, {MAX_SIDE_LENGTH}], "
+                f"got {self.side_length}"
+            )
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
         if self.measure_window < 1:
@@ -106,19 +113,29 @@ def step_generation(
 
     Interference is suppressed entirely on homogeneous grids (absorbing
     without mutation, so investing there is pure waste). After a flat
-    investment a cell's score follows from its code, so it is looked up in
-    the ten paid scores; imitate-best needs only their order, so it looks up
-    their uint8 ranks instead.
+    investment (none, pop, neb) a cell's score follows from its code, so no
+    float scores are needed: imitate-best looks up the uint8 ranks of the ten
+    paid scores, and the Fermi rule looks its acceptance up by the codes of a
+    cell and its chosen neighbour (``game.acceptance_table``). A homogeneous
+    grid under the Fermi rule takes the table of the base scores, whatever the
+    scheme: imitation cannot change it. ``neb_i`` and ``neb_ii`` step on the
+    float scores ``base + surplus``.
     """
+    homogeneous = is_homogeneous(g) is not None
+    if isinstance(rule, Fermi) and (homogeneous or isinstance(scheme, FLAT_SCHEMES)):
+        cost, theta, n_c = 0.0, 0.0, 4
+        if not homogeneous:
+            outcome = apply(scheme, g, None)
+            cost, theta, n_c = outcome.generation_cost, outcome.theta, outcome.n_c
+        return step(g, None, rule, rng, acceptance_table(payoff, theta, n_c, rule.K)), cost
     base = compute_scores(g, payoff)
-    if is_homogeneous(g) is not None:
+    if homogeneous:
         return step(g, base, rule, rng), 0.0
     outcome = apply(scheme, g, base)
     if outcome.n_c is None:
         scores = base + outcome.surplus
     else:
-        table = rank_table if isinstance(rule, Deterministic) else score_table
-        scores = by_code(g.code, table(payoff, outcome.theta, outcome.n_c))
+        scores = by_code(g.code, rank_table(payoff, outcome.theta, outcome.n_c))
     return step(g, scores, rule, rng), outcome.generation_cost
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import expit
 
 from .grid import Grid, Strategy, check_field_types
 
@@ -81,6 +82,24 @@ def rank_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
     ranks = np.array([levels.index(score) for score in scores], dtype=np.uint8)
     ranks.setflags(write=False)
     return ranks
+
+
+@lru_cache(maxsize=256)
+def acceptance_table(params: PayoffParams, theta: float, n_c: int, k: float) -> np.ndarray:
+    """Fermi acceptance by the codes of a cell and its chosen neighbour: entry
+    ``10 * own + nbr`` is ``expit((table[nbr] - table[own]) / k)`` for
+    ``table = score_table(params, theta, n_c)``.
+
+    The same float operations, in the same order, as the Fermi step on
+    ``base + surplus`` scores (subtract, divide by ``k``, logistic), so each
+    entry equals the probability it computes for such a pair bit for bit.
+    """
+    table = score_table(params, theta, n_c)
+    gap = table - table[:, None]  # row own, column nbr
+    gap /= k
+    accept = expit(gap).reshape(-1)
+    accept.setflags(write=False)
+    return accept
 
 
 @lru_cache(maxsize=64)

@@ -60,12 +60,18 @@ class Grid:
     @cached_property
     def coop_neighbours(self) -> np.ndarray:
         """Per cell, its number k of cooperating neighbours (uint8, 0..4)."""
-        return _frozen(sum(self.neighbour_cells))
+        north, east, south, west = self.neighbour_cells
+        k = north + east  # one buffer, added into in place
+        k += south
+        k += west
+        return _frozen(k)
 
     @cached_property
     def code(self) -> np.ndarray:
         """Per cell, ``5 * strategy + k`` (uint8, 0..9): all its base score depends on."""
-        return _frozen(5 * self.cells + self.coop_neighbours)
+        code = self.cells * np.uint8(5)
+        code += self.coop_neighbours
+        return _frozen(code)
 
     @cached_property
     def coop_count(self) -> int:

@@ -104,6 +104,9 @@ InterferenceScheme = Union[NoInterference, Pop, Neb, NebI, NebII]
 # threshold axis; ``theta``, where present, is its investment axis.
 SCHEMES = {"none": NoInterference, "pop": Pop, "neb": Neb, "neb_i": NebI, "neb_ii": NebII}
 
+# The schemes whose outcome is flat (``n_c`` set); they read no base scores.
+FLAT_SCHEMES = (NoInterference, Pop, Neb)
+
 
 @dataclass(frozen=True, eq=False)
 class InvestmentOutcome:
@@ -230,8 +233,11 @@ def apply_neb_ii(g: Grid, base: ScoreField, scheme: NebII) -> InvestmentOutcome:
     return InvestmentOutcome.from_surplus(phase_one + top_up)
 
 
-def apply(scheme: InterferenceScheme, g: Grid, base: ScoreField) -> InvestmentOutcome:
-    """Dispatch to the scheme's rule; NoInterference pays nothing."""
+def apply(scheme: InterferenceScheme, g: Grid, base: ScoreField | None) -> InvestmentOutcome:
+    """Dispatch to the scheme's rule; NoInterference pays nothing.
+
+    Only ``neb_i`` and ``neb_ii`` read ``base``; the ``FLAT_SCHEMES`` take None.
+    """
     if isinstance(scheme, NoInterference):
         return InvestmentOutcome.flat(g, 0.0)
     if isinstance(scheme, Pop):

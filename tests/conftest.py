@@ -33,6 +33,15 @@ def grids(min_side=3, max_side=8):
     )
 
 
+def homogeneous_grids(min_side=3, max_side=8):
+    """Hypothesis strategy for all-C and all-D grids."""
+
+    def build(side, strategy):
+        return Grid(np.full((side, side), strategy, dtype=np.uint8))
+
+    return st.builds(build, st.integers(min_side, max_side), st.integers(0, 1))
+
+
 def payoffs():
     return st.builds(
         PayoffParams,

@@ -17,6 +17,7 @@ from latticecoop.config import (
 )
 from latticecoop.grid import format_snapshot, random_grid
 from latticecoop.dynamics import RULES
+from latticecoop.engine import MAX_SIDE_LENGTH
 from latticecoop.interference import SCHEMES, Neb
 
 import numpy as np
@@ -336,6 +337,20 @@ def test_cmd_run_integer_too_large_for_a_float_exits_config(
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {prefix}"), err
+
+
+def test_cmd_run_side_length_too_large_exits_config_before_writing(tmp_path, capsys):
+    # the Fermi draw of Z = L * L rows of three float64 must stay addressable
+    out = tmp_path / "runs"
+    path = tmp_path / "bad.yaml"
+    path.write_text(
+        f"model: {{side_length: {HUGE}, b: 1.8}}\nscheme: {{kind: none}}\n"
+        f"rule: {{kind: fermi, K: 0.3}}\noutput: {{directory: {out}}}\n"
+    )
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: model: side_length must be in [3, {MAX_SIDE_LENGTH}]"), err
+    assert not out.exists()
 
 
 def test_cmd_run_unreadable_config_exits_io(tmp_path):

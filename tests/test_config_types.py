@@ -154,7 +154,7 @@ def yaml_config(**sections):
         ({"scheme": "{kind: [neb]}"}, "scheme: kind must be one of"),
         ({"rule": "{kind: fermi, K: true}"}, "rule: K must be a number, got True"),
         ({"protocol": "{replicates: 2.5}"}, "protocol: replicates must be an integer, got 2.5"),
-        ({"protocol": "{base_seed: '7'}"}, "protocol: seed must be an integer, got '7'"),
+        ({"protocol": "{base_seed: '7'}"}, "protocol: base_seed must be an integer, got '7'"),
         ({"output": "{label: 5}"}, "output: label must be a string, got 5"),
         (
             {"scheme": "{kind: neb}", "sweep": "{theta_values: [4.5, a], threshold_values: [3]}"},
@@ -164,6 +164,10 @@ def yaml_config(**sections):
             {"scheme": "{kind: pop}", "sweep": "{theta_values: [4.5], threshold_values: 0.5}"},
             "sweep: threshold_values must be a list, each item a number, got 0.5",
         ),
+        # a renamed field is named by its key: base_seed sets RunConfig.seed,
+        # directory sets ExperimentConfig.output_dir
+        ({"protocol": "{base_seed: -1}"}, "protocol: base_seed must be in [0, 2^64), got -1"),
+        ({"output": "{directory: 5}"}, "output: directory must be a string, got 5"),
     ],
 )
 def test_yaml_wrong_type_names_section_and_field(sections, message):

@@ -14,11 +14,18 @@ from latticecoop.dynamics import (
     step_deterministic,
     step_fermi,
 )
-from latticecoop.game import PayoffParams, compute_scores, rank_table, score_table
+from latticecoop.game import (
+    PayoffParams,
+    acceptance_table,
+    by_code,
+    compute_scores,
+    rank_table,
+    score_table,
+)
 from latticecoop.grid import Grid, Strategy, coop_count
 from latticecoop.interference import NebI, NebII, Pop, apply
 
-from conftest import grids, step_deterministic_bruteforce, step_fermi_bruteforce
+from conftest import grids, homogeneous_grids, step_deterministic_bruteforce, step_fermi_bruteforce
 
 C, D = Strategy.C, Strategy.D
 
@@ -199,6 +206,29 @@ def test_step_fermi_matches_sequential_replay_on_invested_scores(g, scheme, mu, 
         scores = base + apply(scheme, g, base).surplus
         got = step_fermi(g, scores, Fermi(K=0.3, mu=mu), np.random.default_rng(seed))
         assert got == step_fermi_bruteforce(g, scores, 0.3, mu, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grids() | homogeneous_grids(),
+    st.sampled_from(TIE_BS),
+    st.sampled_from([0.0, 0.5, 1.0, 3.0, 5.3]) | st.floats(0.01, 6.0),
+    st.integers(0, 4),
+    st.sampled_from([0.05, 0.3, 2.0]) | st.floats(0.05, 2.0),
+    st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_step_fermi_on_acceptance_table_matches_replay(g, b, theta, n_c, k, mu, seed):
+    # looking acceptance up by (own code, neighbour code) must give the grid of
+    # the replay, and of the float path, on the scores those codes stand for
+    payoff = PayoffParams(b=b)
+    scores = by_code(g.code, score_table(payoff, theta, n_c))
+    rule = Fermi(K=k, mu=mu)
+    accept = acceptance_table(payoff, theta, n_c, k)
+    got = step_fermi(g, None, rule, np.random.default_rng(seed), accept)
+    assert got == step_fermi_bruteforce(g, scores, k, mu, seed)
+    assert got == step_fermi(g, scores, rule, np.random.default_rng(seed))
+    assert step(g, None, rule, np.random.default_rng(seed), accept) == got
 
 
 def test_step_dispatch():

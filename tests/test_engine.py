@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latticecoop.dynamics import Deterministic, Fermi
+from latticecoop.dynamics import Deterministic, Fermi, step_fermi
 from latticecoop.engine import (
+    MAX_SIDE_LENGTH,
     RunConfig,
     Termination,
     derive_seed,
@@ -20,12 +21,13 @@ from latticecoop.engine import (
 )
 from latticecoop.game import PayoffParams, compute_scores, pair_payoff
 from latticecoop.grid import Grid, Strategy, grid_hash, neighbours, random_grid
-from latticecoop.interference import Neb, NebI, NebII, NoInterference, Pop
+from latticecoop.interference import Neb, NebI, NebII, NoInterference, Pop, apply
 
 from conftest import (
     flat_paid_bruteforce,
     flat_surplus_bruteforce,
     grids,
+    homogeneous_grids,
     neb_i_bruteforce,
     neb_ii_bruteforce,
     pop_fires_bruteforce,
@@ -73,6 +75,15 @@ def test_config_validation_before_any_work():
 def test_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=field):
         config(**{field: value})
+
+
+def test_side_length_bound_keeps_the_fermi_draw_addressable():
+    # rng.random((Z, 3)) holds 24 bytes per agent
+    assert 24 * MAX_SIDE_LENGTH**2 <= np.iinfo(np.intp).max < 24 * (MAX_SIDE_LENGTH + 1) ** 2
+    assert config(side_length=MAX_SIDE_LENGTH).side_length == MAX_SIDE_LENGTH
+    for length in (MAX_SIDE_LENGTH + 1, 10**400):
+        with pytest.raises(ValueError, match="side_length must be in"):
+            config(side_length=length)
 
 
 def test_config_accepts_numpy_integers_as_plain_ints():
@@ -396,13 +407,40 @@ def _surplus_bruteforce(g, base, scheme):
 
 
 AMOUNTS = st.sampled_from(TIE_THETAS) | st.floats(0.01, 6.0)
-ANY_SCHEME = st.one_of(
+FLAT_SCHEMES = st.one_of(
     st.just(NoInterference()),
     st.builds(Pop, p_c=st.floats(0.0, 1.0), theta=AMOUNTS),
     st.builds(Neb, n_c=st.integers(0, 4), theta=AMOUNTS),
-    st.builds(NebI, eps=AMOUNTS),
-    st.builds(NebII, eps=AMOUNTS),
 )
+ANY_SCHEME = FLAT_SCHEMES | st.builds(NebI, eps=AMOUNTS) | st.builds(NebII, eps=AMOUNTS)
+
+
+def _float_path_generation(g, payoff, scheme, rule, rng):
+    """One Fermi generation on float scores: base, interference, base + surplus, step."""
+    base = compute_scores(g, payoff)
+    if is_homogeneous(g) is not None:
+        return step_fermi(g, base, rule, rng), 0.0
+    surplus = apply(scheme, g, base).surplus
+    return step_fermi(g, base + surplus, rule, rng), float(surplus.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grids() | homogeneous_grids(),
+    FLAT_SCHEMES,
+    st.sampled_from(TIE_BS),
+    st.sampled_from([0.05, 0.3, 2.0]),
+    st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fermi_flat_generation_matches_float_path(g, scheme, b, k, mu, seed):
+    # none, pop and neb under Fermi build no float scores; the next grid and
+    # the cost must be those of the float path they replace
+    payoff, rule = PayoffParams(b=b), Fermi(K=k, mu=mu)
+    got = step_generation(g, payoff, scheme, rule, np.random.default_rng(seed))
+    expected = _float_path_generation(g, payoff, scheme, rule, np.random.default_rng(seed))
+    assert got[0] == expected[0]
+    assert got[1] == expected[1]
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecoop.analysis import lone_defector_grid
+from latticecoop.dynamics import fermi_probability
 from latticecoop.game import (
     PayoffParams,
+    acceptance_table,
     by_code,
     compute_scores,
     pair_payoff,
@@ -179,3 +181,19 @@ def test_float_pairs_equal_a_plain_take(g, params):
     got = by_code(g.code, table)
     assert got.dtype == np.float64 and got.shape == g.code.shape
     assert got.tobytes() == table.take(g.code).tobytes()
+
+
+@pytest.mark.parametrize("b", [1.5, 1.8, 2.0])
+@pytest.mark.parametrize("punishment", [0.0, 0.1])
+@pytest.mark.parametrize("k", [0.05, 0.3, 2.0])
+def test_acceptance_table_equals_fermi_probability_bit_for_bit(b, punishment, k):
+    # entry 10 * own + nbr: a cell of code own copying a neighbour of code nbr
+    params = PayoffParams(b=b, punishment=punishment)
+    for theta in (0.0, 0.5, 1.0, 3.0, 5.3):
+        for n_c in range(5):
+            table = score_table(params, theta, n_c).tolist()
+            accept = acceptance_table(params, theta, n_c, k)
+            assert accept.shape == (100,) and not accept.flags.writeable
+            expected = [fermi_probability(table[own], table[nbr], k)
+                        for own in range(10) for nbr in range(10)]
+            assert accept.tobytes() == np.array(expected).tobytes(), (theta, n_c)

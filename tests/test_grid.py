@@ -95,6 +95,19 @@ def test_coop_plus_defector_is_z(g):
     assert coop_count(g) + defectors == g.size
 
 
+@settings(max_examples=40)
+@given(grids())
+def test_cell_codes_match_bruteforce(g):
+    # code = 5 * strategy + k, with k the cooperating neighbours, all uint8
+    flat = g.cells.reshape(-1)
+    k = [sum(int(flat[j]) for j in neighbours(i, g.side_length)) for i in range(g.size)]
+    expected = 5 * flat.astype(int) + np.array(k)
+    assert g.coop_neighbours.dtype == np.uint8 and g.code.dtype == np.uint8
+    assert np.array_equal(g.coop_neighbours.reshape(-1), k)
+    assert np.array_equal(g.code.reshape(-1), expected)
+    assert not g.code.flags.writeable and not g.coop_neighbours.flags.writeable
+
+
 def test_grid_hash_equal_grids():
     a = random_grid(6, 0.5, np.random.default_rng(7))
     b = Grid(a.cells.copy())
