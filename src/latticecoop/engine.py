@@ -119,19 +119,20 @@ def step_generation(
     cell and its chosen neighbour (``game.acceptance_table``). A homogeneous
     grid under the Fermi rule takes the table of the base scores, whatever the
     scheme: imitation cannot change it. ``neb_i`` and ``neb_ii`` step on the
-    float scores ``base + surplus``.
+    float scores ``base + surplus``; interference reads no base scores (it
+    looks each surplus up by codes), so ``base`` serves only that sum.
     """
     homogeneous = is_homogeneous(g) is not None
     if isinstance(rule, Fermi) and (homogeneous or isinstance(scheme, FLAT_SCHEMES)):
         cost, theta, n_c = 0.0, 0.0, 4
         if not homogeneous:
-            outcome = apply(scheme, g, None)
+            outcome = apply(scheme, g, payoff)
             cost, theta, n_c = outcome.generation_cost, outcome.theta, outcome.n_c
         return step(g, None, rule, rng, acceptance_table(payoff, theta, n_c, rule.K)), cost
     base = compute_scores(g, payoff)
     if homogeneous:
         return step(g, base, rule, rng), 0.0
-    outcome = apply(scheme, g, base)
+    outcome = apply(scheme, g, payoff)
     if outcome.n_c is None:
         scores = base + outcome.surplus
     else:

@@ -14,21 +14,25 @@ are never paid. Four strategy families:
          defector neighbours whose own role model is a defector see the
          cooperator beat that role model by ``eps``.
 
-All decisions and amounts are computed from the frozen (grid, base-score)
-input, so the per-agent grants are order-independent and reproducible.
+All decisions and amounts are computed from the frozen (grid, payoff)
+input, so the per-agent grants are order-independent and reproducible. No
+scheme reads float scores: a cell's base score follows from its code
+(``game.score_table``), so NEB-i and NEB-ii look each cell's surplus up, by
+its code and its neighbours' codes, in small tables built once per
+(payoff, eps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
 
-from .game import ScoreField
-from .grid import Grid, Strategy, _frozen, best_of, check_field_types, coop_count, neighbour_field
+from .game import PayoffParams, by_code, rank_table, score_table
+from .grid import Grid, Strategy, _frozen, check_field_types, coop_count, neighbour_field
 
 # Tolerance absorbing float rounding when a fractional population threshold
 # is scaled to a count (e.g. 0.7 * 10000 evaluating just below 7000).
@@ -104,7 +108,7 @@ InterferenceScheme = Union[NoInterference, Pop, Neb, NebI, NebII]
 # threshold axis; ``theta``, where present, is its investment axis.
 SCHEMES = {"none": NoInterference, "pop": Pop, "neb": Neb, "neb_i": NebI, "neb_ii": NebII}
 
-# The schemes whose outcome is flat (``n_c`` set); they read no base scores.
+# The schemes whose outcome is flat (``n_c`` set).
 FLAT_SCHEMES = (NoInterference, Pop, Neb)
 
 
@@ -184,34 +188,106 @@ def apply_neb(g: Grid, scheme: Neb) -> InvestmentOutcome:
     return InvestmentOutcome.flat(g, scheme.theta, scheme.n_c)
 
 
-def _best_neighbour(g: Grid, base: ScoreField) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell: (base score, strategy) of its maximal-base-score neighbour.
+# A cell's best neighbour under neb_i/neb_ii is the first of its N, E, S, W
+# neighbours, in that order, with the largest base score. Each cell's node
+# key is ``rank * 8 + strategy`` for the dense rank of its base score
+# (``game.rank_table``, at most 9). Adding a position bonus (N 6, E 4, S 2,
+# W 0) and taking the largest key finds the best neighbour: a rank step of 8
+# outweighs bonus plus strategy (<= 7) and equal ranks go by bonus. A cell's
+# neb_i surplus is then a function of its own code and the winner's rank and
+# strategy, and its neb_ii surplus of those and of the largest lure rank
+# among its neighbours. Both are looked up in small tables built per
+# (payoff, eps).
+_CODES, _RANKS, _LURES = 10, 10, 11  # lure 0 is no luring target, r + 1 is rank r
+_NEB_CACHE = 16  # (payoff, eps) pairs kept: each neb_ii entry is ~18 KB
 
-    Ties are broken in fixed N, E, S, W order: a later neighbour wins only
-    with a strictly larger base score.
+
+@lru_cache(maxsize=_NEB_CACHE)
+def _node_keys(payoff: PayoffParams) -> np.ndarray:
+    """uint8 ``rank * 8 + strategy`` by code, for the base scores' dense ranks."""
+    keys = rank_table(payoff, 0.0, 4) * np.uint8(8)
+    keys[5:] += np.uint8(Strategy.C.value)  # codes 5..9 are cooperators
+    return _frozen(keys)
+
+
+def _best_index(g: Grid, payoff: PayoffParams) -> np.ndarray:
+    """Per cell, the uint8 index ``20 * code + 2 * rank + strategy`` of its own
+    code and its best neighbour's base-score rank and strategy."""
+    keys = by_code(g.code, _node_keys(payoff))
+    north, east, south, west = neighbour_field(keys)
+    # max(N + 6, E + 4, S + 2, W), the bonuses added Horner-style into the
+    # keys' buffer (the field holds its own copy)
+    best = np.add(north, 2, out=keys)
+    np.maximum(best, east, out=best)
+    best += 2
+    np.maximum(best, south, out=best)
+    best += 2
+    np.maximum(best, west, out=best)
+    index = g.code * np.uint8(2 * _RANKS)
+    index += best & 1  # the strategy
+    best >>= 3  # the rank
+    index += best
+    index += best
+    return index
+
+
+def _table_axes(payoff: PayoffParams) -> tuple[np.ndarray, ...]:
+    """(code, rank, strategy, base score by code, base score by rank), each
+    shaped to broadcast over the (code, rank, strategy) layout of
+    ``_best_index``. Ranks that no code takes score 0."""
+    code, rank, strategy = np.ogrid[:_CODES, :_RANKS, :2]
+    scores = score_table(payoff)
+    levels = np.zeros(_RANKS)
+    levels[rank_table(payoff, 0.0, 4)] = scores
+    return code, rank, strategy, scores[code], levels[rank]
+
+
+@lru_cache(maxsize=_NEB_CACHE)
+def _neb_i_table(payoff: PayoffParams, eps: float) -> np.ndarray:
+    """neb_i surplus by ``_best_index``: the per-cell float ``np.where`` of the
+    rule, evaluated once per (own code, best rank, best strategy)."""
+    code, _, strategy, base, best_score = _table_axes(payoff)
+    eligible = (code >= 5) & (strategy == Strategy.D.value) & (best_score > base)
+    return _frozen(np.where(eligible, best_score - base + eps, 0.0).reshape(-1))
+
+
+@lru_cache(maxsize=_NEB_CACHE)
+def _neb_ii_tables(payoff: PayoffParams, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lure rank by ``_best_index``, neb_ii surplus by ``11 * index + lure``).
+
+    A defector whose best neighbour is a defector of rank r lures with r + 1,
+    any other cell with 0. A cooperator must reach M + eps, where M is the
+    base score of the largest lure rank around it (-inf for 0). The surplus
+    is phase one plus the top-up, by the same float operations in the same
+    order as the per-cell rule.
     """
-    return best_of(neighbour_field(base), g.neighbour_cells)
+    code, rank, strategy, base, best_score = _table_axes(payoff)
+    lured = (code < 5) & (strategy == Strategy.D.value)
+    lure = np.where(lured, rank + 1, 0).astype(np.uint8).reshape(-1)
+    required = np.concatenate(([-np.inf], best_score.reshape(-1)))  # M by lure rank
+    phase_one = _neb_i_table(payoff, eps).reshape(_CODES, _RANKS, 2, 1)
+    post = base[..., None] + phase_one
+    cooperates = (code >= 5).astype(np.uint8)[..., None]
+    gap = required + eps - post
+    # max(0.0, gap) as a select (gap is never NaN or -0.0): the float maximum
+    # loop would be NumPy code that nothing else in a Fermi run maps in
+    top_up = cooperates * np.where(gap > 0.0, gap, 0.0)
+    return _frozen(lure), _frozen((phase_one + top_up).reshape(-1))
 
 
-def _neb_i_surplus(g: Grid, base: ScoreField, eps: float, best: tuple) -> np.ndarray:
-    best_score, best_strat = best
-    eligible = (g.cells == Strategy.C.value) & (best_strat == Strategy.D.value)
-    eligible &= best_score > base
-    return np.where(eligible, best_score - base + eps, 0.0)
-
-
-def apply_neb_i(g: Grid, base: ScoreField, scheme: NebI) -> InvestmentOutcome:
+def apply_neb_i(g: Grid, payoff: PayoffParams, scheme: NebI) -> InvestmentOutcome:
     """Maintaining-C: grant best_defector_score - own_score + eps.
 
     A cooperator is paid only when the maximal-base-score member of its
     neighbourhood is a defector with a strictly larger base score; conditions
-    and amounts use pre-interference base scores only.
+    and amounts use pre-interference base scores only. Ties between
+    neighbours go to the first in N, E, S, W order.
     """
-    surplus = _neb_i_surplus(g, base, scheme.eps, _best_neighbour(g, base))
+    surplus = _neb_i_table(payoff, scheme.eps).take(_best_index(g, payoff))
     return InvestmentOutcome.from_surplus(surplus)
 
 
-def apply_neb_ii(g: Grid, base: ScoreField, scheme: NebII) -> InvestmentOutcome:
+def apply_neb_ii(g: Grid, payoff: PayoffParams, scheme: NebII) -> InvestmentOutcome:
     """Maintaining-C plus influencing D neighbours.
 
     Phase one is NEB-i. Phase two: for each cooperator i with a defector
@@ -220,23 +296,22 @@ def apply_neb_ii(g: Grid, base: ScoreField, scheme: NebII) -> InvestmentOutcome:
     M + eps. Several such neighbours impose the largest requirement; defector
     scores are never modified.
     """
-    best_score, best_strat = best = _best_neighbour(g, base)
-    phase_one = _neb_i_surplus(g, base, scheme.eps, best)
-    post = base + phase_one
-
-    # Role-model score M for each defector whose best neighbour is a defector;
-    # -inf marks cells that impose no requirement.
-    lured = (g.cells == Strategy.D.value) & (best_strat == Strategy.D.value)
-    luring_target = np.where(lured, best_score, -np.inf)
-    required = reduce(np.maximum, neighbour_field(luring_target))
-    top_up = g.cells * np.maximum(0.0, required + scheme.eps - post)  # C is 1, D is 0
-    return InvestmentOutcome.from_surplus(phase_one + top_up)
+    lure, table = _neb_ii_tables(payoff, scheme.eps)
+    index = _best_index(g, payoff)
+    north, east, south, west = neighbour_field(lure.take(index))
+    required = np.maximum(north, east)
+    np.maximum(required, south, out=required)
+    np.maximum(required, west, out=required)
+    index = np.multiply(index, _LURES, dtype=np.intp)  # intp: take's own index type
+    index += required
+    return InvestmentOutcome.from_surplus(table.take(index))
 
 
-def apply(scheme: InterferenceScheme, g: Grid, base: ScoreField | None) -> InvestmentOutcome:
+def apply(scheme: InterferenceScheme, g: Grid, payoff: PayoffParams) -> InvestmentOutcome:
     """Dispatch to the scheme's rule; NoInterference pays nothing.
 
-    Only ``neb_i`` and ``neb_ii`` read ``base``; the ``FLAT_SCHEMES`` take None.
+    Only ``neb_i`` and ``neb_ii`` read ``payoff``: their grants depend on the
+    base scores it gives each code.
     """
     if isinstance(scheme, NoInterference):
         return InvestmentOutcome.flat(g, 0.0)
@@ -245,7 +320,7 @@ def apply(scheme: InterferenceScheme, g: Grid, base: ScoreField | None) -> Inves
     if isinstance(scheme, Neb):
         return apply_neb(g, scheme)
     if isinstance(scheme, NebI):
-        return apply_neb_i(g, base, scheme)
+        return apply_neb_i(g, payoff, scheme)
     if isinstance(scheme, NebII):
-        return apply_neb_ii(g, base, scheme)
+        return apply_neb_ii(g, payoff, scheme)
     raise TypeError(f"unknown interference scheme: {scheme!r}")

@@ -71,12 +71,13 @@ def best_neighbour_bruteforce(i: int, base_flat, length: int) -> int:
     return best
 
 
-def neb_i_bruteforce(g: Grid, base: np.ndarray, eps: float) -> np.ndarray:
+def neb_i_bruteforce(g: Grid, base: np.ndarray, eps: float, agents=None) -> np.ndarray:
+    """Per-agent neb_i surplus; only ``agents`` (flat indices, default all) are evaluated."""
     length = g.side_length
     flat = g.cells.reshape(-1)
     base_flat = base.reshape(-1)
     surplus = np.zeros(g.size)
-    for i in range(g.size):
+    for i in range(g.size) if agents is None else agents:
         if flat[i] != Strategy.C.value:
             continue
         b_idx = best_neighbour_bruteforce(i, base_flat, length)
@@ -105,6 +106,27 @@ def neb_ii_bruteforce(g: Grid, base: np.ndarray, eps: float) -> np.ndarray:
         if required is not None:
             surplus[i] += max(0.0, required + eps - post[i])
     return surplus.reshape(length, length)
+
+
+# The cells within Manhattan distance 2 of a centre. Under imitate-best with a
+# flat scheme they alone decide the centre's next strategy (pop's global
+# trigger aside), and under neb_i its surplus.
+DIAMOND = [(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3) if abs(dr) + abs(dc) <= 2]
+
+
+def diamond_lattice():
+    """All 2**13 diamonds, one per 5x5 block, centred in the blocks of one lattice.
+
+    Returns the grid and the flat indices of the centres.
+    """
+    n = 2 ** len(DIAMOND)
+    per_side = int(np.ceil(np.sqrt(n)))
+    side = 5 * per_side
+    block_row, block_col = np.divmod(np.arange(n), per_side)
+    cells = np.zeros((side, side), dtype=np.uint8)  # spare blocks stay all D
+    for bit, (dr, dc) in enumerate(DIAMOND):
+        cells[5 * block_row + 2 + dr, 5 * block_col + 2 + dc] = (np.arange(n) >> bit) & 1
+    return Grid(cells), (5 * block_row + 2) * side + 5 * block_col + 2
 
 
 def pop_fires_bruteforce(g: Grid, scheme) -> bool:

@@ -27,7 +27,7 @@ from latticecoop.engine import (
     step_generation,
     write_metrics_csv,
 )
-from latticecoop.game import PayoffParams, compute_scores
+from latticecoop.game import PayoffParams
 from latticecoop.grid import (
     Strategy,
     coop_count,
@@ -287,9 +287,8 @@ def test_criterion_8_property_suite(tmp_path):
 
     # no defector paid, all schemes
     g = random_grid(30, 0.5, np.random.default_rng(9))
-    base = compute_scores(g, PAY)
     checks["no_defector_paid"] = all(
-        not np.any(apply(s, g, base).surplus[g.cells == Strategy.D.value] > 0)
+        not np.any(apply(s, g, PAY).surplus[g.cells == Strategy.D.value] > 0)
         for s in (
             Pop(p_c=1.0, theta=2.0),
             Pop(p_c=0.3, theta=2.0),

@@ -95,8 +95,8 @@ def test_step_deterministic_homogeneous_fixed():
 
 
 def _invested_scores(g, b, theta):
-    base = compute_scores(g, PayoffParams(b=b))
-    return base + apply(Pop(p_c=1.0, theta=theta), g, base).surplus
+    payoff = PayoffParams(b=b)
+    return compute_scores(g, payoff) + apply(Pop(p_c=1.0, theta=theta), g, payoff).surplus
 
 
 def test_step_deterministic_lone_defector_converts_above_threshold():
@@ -202,8 +202,8 @@ def test_step_fermi_matches_sequential_replay(g, k, mu, seed):
 def test_step_fermi_matches_sequential_replay_on_invested_scores(g, scheme, mu, seed):
     # the replay must also hold for base + surplus, the scores the engine passes
     for b in TIE_BS:
-        base = compute_scores(g, PayoffParams(b=b))
-        scores = base + apply(scheme, g, base).surplus
+        payoff = PayoffParams(b=b)
+        scores = compute_scores(g, payoff) + apply(scheme, g, payoff).surplus
         got = step_fermi(g, scores, Fermi(K=0.3, mu=mu), np.random.default_rng(seed))
         assert got == step_fermi_bruteforce(g, scores, 0.3, mu, seed)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latticecoop.dynamics import Deterministic, Fermi, step_fermi
+from latticecoop.dynamics import Deterministic, Fermi, step
 from latticecoop.engine import (
     MAX_SIDE_LENGTH,
     RunConfig,
@@ -21,9 +21,10 @@ from latticecoop.engine import (
 )
 from latticecoop.game import PayoffParams, compute_scores, pair_payoff
 from latticecoop.grid import Grid, Strategy, grid_hash, neighbours, random_grid
-from latticecoop.interference import Neb, NebI, NebII, NoInterference, Pop, apply
+from latticecoop.interference import Neb, NebI, NebII, NoInterference, Pop
 
 from conftest import (
+    diamond_lattice,
     flat_paid_bruteforce,
     flat_surplus_bruteforce,
     grids,
@@ -298,26 +299,8 @@ def test_fermi_flat_path_matches_float_scores(g, theta, seed):
             assert cost == float(surplus.sum()), (b, scheme)
 
 
-# The cells within Manhattan distance 2 of a centre. Under imitate-best with a
-# flat scheme they alone decide the centre's next strategy (pop's global
-# trigger aside).
-DIAMOND = [(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3) if abs(dr) + abs(dc) <= 2]
-
-
-def _diamond_lattice():
-    """All 2**13 diamonds, one per 5x5 block, centred in the blocks of one lattice."""
-    n = 2 ** len(DIAMOND)
-    per_side = int(np.ceil(np.sqrt(n)))
-    side = 5 * per_side
-    block_row, block_col = np.divmod(np.arange(n), per_side)
-    cells = np.zeros((side, side), dtype=np.uint8)  # spare blocks stay all D
-    for bit, (dr, dc) in enumerate(DIAMOND):
-        cells[5 * block_row + 2 + dr, 5 * block_col + 2 + dc] = (np.arange(n) >> bit) & 1
-    return Grid(cells), (5 * block_row + 2) * side + 5 * block_col + 2
-
-
 def test_rank_path_exhaustive_over_radius2_diamonds():
-    g, centres = _diamond_lattice()
+    g, centres = diamond_lattice()
     length, flat = g.side_length, g.cells.reshape(-1)
     # Candidates self, N, E, S, W of every centre, each as (strategy, its neighbours' strategies).
     candidates = [[i, *neighbours(i, length)] for i in centres.tolist()]
@@ -416,12 +399,11 @@ ANY_SCHEME = FLAT_SCHEMES | st.builds(NebI, eps=AMOUNTS) | st.builds(NebII, eps=
 
 
 def _float_path_generation(g, payoff, scheme, rule, rng):
-    """One Fermi generation on float scores: base, interference, base + surplus, step."""
+    """One generation composed from the oracles: base scores, the brute-force
+    surplus (none on a homogeneous grid), the float scores base + surplus, step."""
     base = compute_scores(g, payoff)
-    if is_homogeneous(g) is not None:
-        return step_fermi(g, base, rule, rng), 0.0
-    surplus = apply(scheme, g, base).surplus
-    return step_fermi(g, base + surplus, rule, rng), float(surplus.sum())
+    surplus = _surplus_bruteforce(g, base, scheme)
+    return step(g, base + surplus, rule, rng), float(surplus.sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,6 +423,27 @@ def test_fermi_flat_generation_matches_float_path(g, scheme, b, k, mu, seed):
     expected = _float_path_generation(g, payoff, scheme, rule, np.random.default_rng(seed))
     assert got[0] == expected[0]
     assert got[1] == expected[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grids() | homogeneous_grids(),
+    st.builds(NebI, eps=AMOUNTS) | st.builds(NebII, eps=AMOUNTS),
+    st.sampled_from(TIE_BS),
+    st.sampled_from([0.0, 0.1]),
+    st.just(Deterministic()) | st.builds(
+        Fermi, K=st.sampled_from([0.05, 0.3, 2.0]), mu=st.sampled_from([0.0, 0.02, 0.5])
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_neb_generation_matches_float_path(g, scheme, b, punishment, rule, seed):
+    # neb_i and neb_ii look their surplus up by code; under either rule the next
+    # grid and the cost must be those of the float composition of the oracles
+    payoff = PayoffParams(b=b, punishment=punishment)
+    got = step_generation(g, payoff, scheme, rule, np.random.default_rng(seed))
+    expected = _float_path_generation(g, payoff, scheme, rule, np.random.default_rng(seed))
+    assert got[0] == expected[0]
+    assert np.float64(got[1]).tobytes() == np.float64(expected[1]).tobytes()
 
 
 @settings(max_examples=150, deadline=None)

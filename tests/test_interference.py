@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticecoop import interference
 from latticecoop.analysis import lone_defector_grid
 from latticecoop.game import PayoffParams, by_code, compute_scores, score_table
 from latticecoop.grid import Grid, Strategy, coop_count, random_grid
@@ -23,7 +24,14 @@ from latticecoop.interference import (
     apply_pop,
 )
 
-from conftest import flat_surplus_bruteforce, grids, neb_i_bruteforce, neb_ii_bruteforce, payoffs
+from conftest import (
+    diamond_lattice,
+    flat_surplus_bruteforce,
+    grids,
+    neb_i_bruteforce,
+    neb_ii_bruteforce,
+    payoffs,
+)
 
 C, D = Strategy.C, Strategy.D
 
@@ -123,8 +131,7 @@ def test_neb_all_c_nc3_costs_nothing():
 def test_neb_i_lone_defector():
     # each of the defector's 4 neighbours is outbid from 3.0 to 7.2 + eps
     g = lone_defector_grid(10)
-    base = compute_scores(g, PayoffParams(b=1.8))
-    out = apply_neb_i(g, base, NebI(eps=0.1))
+    out = apply_neb_i(g, PayoffParams(b=1.8), NebI(eps=0.1))
     grant = 7.2 - 3.0 + 0.1
     paid = np.argwhere(out.surplus > 0)
     assert {tuple(x) for x in paid} == {(4, 5), (6, 5), (5, 4), (5, 6)}
@@ -134,8 +141,7 @@ def test_neb_i_lone_defector():
 
 def test_neb_i_interior_cooperator_gets_nothing():
     g = make_grid(8)
-    base = compute_scores(g, PayoffParams(b=1.8))
-    out = apply_neb_i(g, base, NebI(eps=0.5))
+    out = apply_neb_i(g, PayoffParams(b=1.8), NebI(eps=0.5))
     assert out.generation_cost == 0.0
 
 
@@ -144,17 +150,19 @@ def test_neb_i_equal_score_defector_is_not_matched():
     # defector also scoring 3.0 and winning the N,E,S,W tie-break. The
     # "strictly larger" condition must leave the cooperator unpaid.
     g = make_grid(6, [(1, 2), (1, 3), (1, 1), (4, 2)])
-    base = compute_scores(g, PayoffParams(b=1.5))
+    payoff = PayoffParams(b=1.5)
+    base = compute_scores(g, payoff)
     assert base[2, 2] == 3.0 and base[1, 2] == 3.0
-    out = apply_neb_i(g, base, NebI(eps=0.1))
+    out = apply_neb_i(g, payoff, NebI(eps=0.1))
     assert out.surplus[2, 2] == 0.0
 
 
 def test_neb_i_strictly_fitter_defector_is_matched():
     g = make_grid(6, [(1, 2), (1, 1), (4, 2)])
-    base = compute_scores(g, PayoffParams(b=1.5))
+    payoff = PayoffParams(b=1.5)
+    base = compute_scores(g, payoff)
     assert base[1, 2] == 4.5 and base[2, 2] == 3.0
-    out = apply_neb_i(g, base, NebI(eps=0.1))
+    out = apply_neb_i(g, payoff, NebI(eps=0.1))
     assert out.surplus[2, 2] == 4.5 - 3.0 + 0.1
 
 
@@ -162,9 +170,9 @@ def test_neb_ii_lone_defector_equals_neb_i():
     # the lone defector's best-scoring neighbour is a cooperator, so the
     # luring phase adds nothing
     g = lone_defector_grid(10)
-    base = compute_scores(g, PayoffParams(b=1.8))
-    out_i = apply_neb_i(g, base, NebI(eps=0.1))
-    out_ii = apply_neb_ii(g, base, NebII(eps=0.1))
+    payoff = PayoffParams(b=1.8)
+    out_i = apply_neb_i(g, payoff, NebI(eps=0.1))
+    out_ii = apply_neb_ii(g, payoff, NebII(eps=0.1))
     np.testing.assert_array_equal(out_i.surplus, out_ii.surplus)
     assert out_i.generation_cost == out_ii.generation_cost
 
@@ -175,41 +183,101 @@ def test_neb_ii_tops_up_against_defector_role_model():
     # base M=5.4. Phase one skips i (its best neighbour is an interior
     # cooperator at 4.0), so phase two must raise i to M + eps.
     g = make_grid(8, [(3, 3), (3, 2), (3, 4), (4, 3)])
-    base = compute_scores(g, PayoffParams(b=1.8))
+    payoff = PayoffParams(b=1.8)
+    base = compute_scores(g, payoff)
     assert base[3, 3] == 1.8 and base[3, 4] == 5.4 and base[2, 3] == 3.0
-    out_i = apply_neb_i(g, base, NebI(eps=0.1))
-    out_ii = apply_neb_ii(g, base, NebII(eps=0.1))
+    out_i = apply_neb_i(g, payoff, NebI(eps=0.1))
+    out_ii = apply_neb_ii(g, payoff, NebII(eps=0.1))
     assert out_i.surplus[2, 3] == 0.0
     assert out_ii.surplus[2, 3] == (5.4 + 0.1) - 3.0
 
 
 def test_neb_ii_no_defectors_costs_nothing():
     g = make_grid(8)
-    base = compute_scores(g, PayoffParams(b=1.8))
-    assert apply_neb_ii(g, base, NebII(eps=0.3)).generation_cost == 0.0
+    assert apply_neb_ii(g, PayoffParams(b=1.8), NebII(eps=0.3)).generation_cost == 0.0
 
 
 # At b=1.5 and b=2.0 some defector scores k*b equal integer cooperator scores,
 # which exercises the N, E, S, W tie-break of the best-neighbour search.
 TIE_BS = (1.5, 1.8, 2.0)
+TIE_PAYOFFS = tuple(PayoffParams(b=b, punishment=p) for b in TIE_BS for p in (0.0, 0.1))
+
+
+def _zero_top_up_eps(payoff):
+    """Amounts eps with M + eps == c exactly for a cooperator's base score c and
+    a defector's base score M < c: an unpaid cooperator scoring c whose lured
+    defector neighbour has a role model scoring M gets a top-up of exactly 0."""
+    scores = score_table(payoff).tolist()
+    return sorted({c - m for c in scores[5:] for m in scores[:5] if m < c and m + (c - m) == c})
 
 
 @settings(max_examples=60)
 @given(grids(), st.floats(0.01, 2.0))
 def test_neb_i_matches_bruteforce(g, eps):
     for b in TIE_BS:  # every example is checked at each temptation
-        base = compute_scores(g, PayoffParams(b=b))
-        out = apply_neb_i(g, base, NebI(eps=eps))
+        payoff = PayoffParams(b=b)
+        base = compute_scores(g, payoff)
+        out = apply_neb_i(g, payoff, NebI(eps=eps))
         np.testing.assert_array_equal(out.surplus, neb_i_bruteforce(g, base, eps))
 
 
+def test_neb_i_exhaustive_over_radius2_diamonds():
+    # a centre's neb_i surplus is decided by the 13 cells within distance 2;
+    # eps = b - 1 makes post-investment scores tie with other scores
+    g, centres = diamond_lattice()
+    agents = centres.tolist()
+    for payoff in (PayoffParams(b=b, punishment=p) for b in (1.5, 1.8, 2.0) for p in (0.0, 0.1)):
+        base = compute_scores(g, payoff)
+        for eps in sorted({0.1, 0.5, 1.0, payoff.b - 1}):
+            got = apply_neb_i(g, payoff, NebI(eps=eps)).surplus.reshape(-1)[centres]
+            expected = neb_i_bruteforce(g, base, eps, agents).reshape(-1)[centres]
+            assert got.tobytes() == expected.tobytes(), (payoff, eps)
+
+
 @settings(max_examples=60)
-@given(grids(), st.floats(0.01, 2.0))
-def test_neb_ii_matches_bruteforce(g, eps):
-    for b in TIE_BS:
-        base = compute_scores(g, PayoffParams(b=b))
-        out = apply_neb_ii(g, base, NebII(eps=eps))
-        np.testing.assert_array_equal(out.surplus, neb_ii_bruteforce(g, base, eps))
+@given(grids(), st.floats(0.01, 2.0), st.data())
+def test_neb_ii_matches_bruteforce(g, eps, data):
+    for payoff in TIE_PAYOFFS:
+        base = compute_scores(g, payoff)
+        zero_top_up = data.draw(st.sampled_from(_zero_top_up_eps(payoff)), label="eps")
+        for amount in (eps, zero_top_up):
+            out = apply_neb_ii(g, payoff, NebII(eps=amount))
+            assert out.surplus.tobytes() == neb_ii_bruteforce(g, base, amount).tobytes()
+
+
+def _bits(value) -> str:
+    return float(value).hex()
+
+
+@pytest.mark.parametrize("payoff", TIE_PAYOFFS, ids=repr)
+def test_neb_tables_equal_the_scalar_formula(payoff):
+    # every reachable entry, by (own code, best neighbour's rank and strategy,
+    # largest lure rank around), equals the rule evaluated on Python floats
+    scores = score_table(payoff).tolist()
+    levels = sorted(set(scores))  # base score by rank
+    keys = interference._node_keys(payoff)
+    assert keys.tolist() == [8 * levels.index(s) + (code >= 5) for code, s in enumerate(scores)]
+    assert not keys.flags.writeable
+    for eps in (0.1, 0.5, 1.0, payoff.b - 1, *_zero_top_up_eps(payoff)):
+        neb_i = interference._neb_i_table(payoff, eps)
+        lure, neb_ii = interference._neb_ii_tables(payoff, eps)
+        assert not (neb_i.flags.writeable or lure.flags.writeable or neb_ii.flags.writeable)
+        for code, base in enumerate(scores):
+            cooperates = code >= 5
+            for rank, best in enumerate(levels):
+                for strategy in (D.value, C.value):
+                    index = 20 * code + 2 * rank + strategy
+                    paid = cooperates and strategy == D.value and best > base
+                    phase_one = best - base + eps if paid else 0.0
+                    assert _bits(neb_i[index]) == _bits(phase_one)
+                    lured = not cooperates and strategy == D.value
+                    assert lure[index] == (rank + 1 if lured else 0)
+                    for lure_rank, m in enumerate([-math.inf, *levels]):
+                        top_up = max(0.0, m + eps - (base + phase_one)) if cooperates else 0.0
+                        expected = phase_one + top_up
+                        assert _bits(neb_ii[11 * index + lure_rank]) == _bits(expected), (
+                            eps, code, rank, strategy, lure_rank
+                        )
 
 
 def _schemes():
@@ -225,43 +293,42 @@ def _schemes():
 @settings(max_examples=80)
 @given(grids(), _schemes())
 def test_no_defector_is_ever_paid(g, scheme):
-    base = compute_scores(g, PayoffParams(b=1.8))
-    out = apply(scheme, g, base)
-    assert np.all(out.surplus[g.cells == D.value] == 0.0)
-    assert np.all(out.surplus >= 0.0)
+    for payoff in TIE_PAYOFFS:
+        out = apply(scheme, g, payoff)
+        assert np.all(out.surplus[g.cells == D.value] == 0.0)
+        assert np.all(out.surplus >= 0.0)
 
 
 @settings(max_examples=80)
 @given(grids(), _schemes())
 def test_cost_equals_surplus_sum_exactly(g, scheme):
-    base = compute_scores(g, PayoffParams(b=1.8))
-    out = apply(scheme, g, base)
-    assert out.generation_cost == float(out.surplus.sum())
+    for payoff in TIE_PAYOFFS:
+        out = apply(scheme, g, payoff)
+        assert out.generation_cost == float(out.surplus.sum())
 
 
 @settings(max_examples=60)
 @given(grids(), st.floats(0.01, 2.0))
 def test_neb_ii_dominates_neb_i_pointwise(g, eps):
-    base = compute_scores(g, PayoffParams(b=1.8))
-    s_i = apply_neb_i(g, base, NebI(eps=eps)).surplus
-    s_ii = apply_neb_ii(g, base, NebII(eps=eps)).surplus
+    payoff = PayoffParams(b=1.8)
+    s_i = apply_neb_i(g, payoff, NebI(eps=eps)).surplus
+    s_ii = apply_neb_ii(g, payoff, NebII(eps=eps)).surplus
     assert np.all(s_ii >= s_i)
 
 
 @settings(max_examples=60)
 @given(grids(), st.floats(0.1, 8.0))
 def test_pop_full_threshold_equals_neb4(g, theta):
-    base = compute_scores(g, PayoffParams(b=1.8))
-    out_pop = apply(Pop(p_c=1.0, theta=theta), g, base)
-    out_neb = apply(Neb(n_c=4, theta=theta), g, base)
+    payoff = PayoffParams(b=1.8)
+    out_pop = apply(Pop(p_c=1.0, theta=theta), g, payoff)
+    out_neb = apply(Neb(n_c=4, theta=theta), g, payoff)
     np.testing.assert_array_equal(out_pop.surplus, out_neb.surplus)
     assert out_pop.generation_cost == out_neb.generation_cost
 
 
 def test_dispatch_none_is_free():
     g = make_grid(6, [(2, 2)])
-    base = compute_scores(g, PayoffParams(b=1.8))
-    out = apply(NoInterference(), g, base)
+    out = apply(NoInterference(), g, PayoffParams(b=1.8))
     assert out.generation_cost == 0.0
     assert np.all(out.surplus == 0.0)
 
@@ -301,7 +368,7 @@ def test_flat_cost_is_the_surplus_sum_bit_for_bit(g, n_c, data):
 @given(grids(3, 9), payoffs(), st.integers(0, 4), st.sampled_from((0.5, 1.0, 3)) | st.floats(0.01, 8.0))
 def test_paid_scores_equal_base_plus_surplus(g, params, n_c, theta):
     base = compute_scores(g, params)
-    expected = base + apply(Neb(n_c=n_c, theta=theta), g, base).surplus
+    expected = base + apply(Neb(n_c=n_c, theta=theta), g, params).surplus
     got = by_code(g.code, score_table(params, theta, n_c))
     assert got.tobytes() == expected.tobytes()
 
@@ -315,8 +382,8 @@ def test_score_table_at_zero_theta_is_the_base_table(params, n_c):
 def test_outcome_equality_and_hash_do_not_raise(scheme):
     # flat outcomes hold a Grid, the others a surplus array: both compare by identity
     g = random_grid(6, 0.5, np.random.default_rng(1))
-    base = compute_scores(g, PayoffParams(b=1.8))
-    a, b = apply(scheme, g, base), apply(scheme, g, base)
+    payoff = PayoffParams(b=1.8)
+    a, b = apply(scheme, g, payoff), apply(scheme, g, payoff)
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
 
@@ -325,11 +392,12 @@ def test_outcome_equality_and_hash_do_not_raise(scheme):
 def test_flat_schemes_build_no_float_surplus(scheme):
     # a Z-element float64 temporary alone takes Z * 8 bytes
     g = random_grid(200, 0.5, np.random.default_rng(3))
-    base = compute_scores(g, PayoffParams(b=1.8))  # the grid caches its codes
+    payoff = PayoffParams(b=1.8)
+    compute_scores(g, payoff)  # the grid caches its codes
     coop_count(g)  # and its x_C, so only apply's own temporaries are traced
     tracemalloc.start()
     try:
-        outcome = apply(scheme, g, base)
+        outcome = apply(scheme, g, payoff)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
