@@ -17,7 +17,15 @@ import numpy as np
 from scipy.special import expit
 
 from .game import ScoreField
-from .grid import Grid, best_of, check_field_types, neighbour_field, where_cells, wrap_pad
+from .grid import (
+    Grid,
+    best_of,
+    check_field_types,
+    choose_neighbour,
+    neighbour_field,
+    where_cells,
+    wrap_pad,
+)
 
 
 @dataclass(frozen=True)
@@ -91,12 +99,12 @@ def step_deterministic(g: Grid, scores: ScoreField) -> Grid:
 
 
 @lru_cache(maxsize=16)
-def _padded_index(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _padded_index(length: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat N, E, S, W offsets in a wrap-padded L x L array, and each cell's
-    flat index there as its row's start (an (L, 1) column) plus its column."""
+    flat index there as an (L, L) array."""
     stride = length + 2  # padded rows are L + 2 long
     inner = np.arange(1, length + 1)
-    index = (np.array((-stride, 1, stride, -1)), (inner * stride)[:, None], inner)
+    index = (np.array((-stride, 1, stride, -1)), inner[:, None] * stride + inner)
     for part in index:
         part.setflags(write=False)
     return index
@@ -125,33 +133,40 @@ def step_fermi(
     When every score follows from the cell's code ``5 * strategy + k``, pass
     ``accept = game.acceptance_table(...)`` for those scores and K instead of
     ``scores``: the probability is then looked up by the pair of codes, with
-    the same result.
+    the same result. At least one of the two is required; ``scores``, when
+    given, must be shaped like the grid and ``accept`` must hold 100 entries.
+    A ValueError names the argument that does not fit.
     """
     length = g.side_length
-    draws = rng.random((g.size, 3))
-    u_mut, u_nbr, u_acc = draws.T.reshape(3, length, length)
-
-    # Flat index of each agent's chosen neighbour in the wrap-padded arrays.
-    offsets, row_starts, columns = _padded_index(length)
-    pick = (u_nbr * 4.0).astype(np.intp)  # in 0..3 since u < 1
-    nbr = offsets.take(pick)
-    nbr += row_starts
-    nbr += columns
+    if accept is None and scores is None:
+        raise ValueError("step_fermi needs scores or an acceptance table (accept)")
+    if scores is not None and np.shape(scores) != g.cells.shape:
+        raise ValueError(
+            f"scores must be shaped like the grid {g.cells.shape}, got {np.shape(scores)}"
+        )
+    if accept is not None and np.size(accept) != 100:
+        raise ValueError(f"accept must hold 100 entries, got {np.size(accept)}")
+    # One contiguous row per use, so no pass below reads the strided draws.
+    u_mut, u_nbr, u_acc = rng.random((g.size, 3)).T.reshape(3, length, length).copy()
 
     if accept is not None:
         # Copying a neighbour of one's own strategy changes nothing, so the
         # test runs on every agent; a code >= 5 is a cooperator.
-        nbr_code = wrap_pad(g.code).take(nbr)
+        nbr_code = choose_neighbour(u_nbr, neighbour_field(g.code))
         pair = g.code * np.uint8(10)
         pair += nbr_code
         copied = u_acc < accept.take(pair)
         next_cells = where_cells(copied, (nbr_code >= 5).view(np.uint8), g.cells)
     else:
         # Acceptance can change only agents whose chosen neighbour plays the
-        # other strategy, so the logistic is evaluated for those alone.
-        nbr_strat = wrap_pad(g.cells).take(nbr)
+        # other strategy, so the logistic is evaluated for those alone, and
+        # only their neighbours' flat indices in the wrap-padded scores are built.
+        nbr_strat = choose_neighbour(u_nbr, g.neighbour_cells)
         differ = np.flatnonzero(nbr_strat != g.cells)
-        gap = wrap_pad(scores).take(nbr.take(differ))
+        offsets, cell_index = _padded_index(length)
+        nbr = offsets.take((u_nbr.take(differ) * 4.0).astype(np.intp))  # 0..3 since u < 1
+        nbr += cell_index.take(differ)
+        gap = wrap_pad(scores).take(nbr)
         gap -= scores.take(differ)
         gap /= rule.K
         copied = differ[u_acc.take(differ) < expit(gap, out=gap)]
@@ -160,7 +175,8 @@ def step_fermi(
 
     if rule.mu > 0.0:
         # a mutant becomes C (1) when u_m < mu / 2, else D (0)
-        np.copyto(next_cells, u_mut < rule.mu / 2.0, where=u_mut < rule.mu)
+        mutants = np.flatnonzero(u_mut < rule.mu)
+        next_cells.put(mutants, u_mut.take(mutants) < rule.mu / 2.0)
     return Grid(next_cells)
 
 

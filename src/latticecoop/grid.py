@@ -197,8 +197,26 @@ def neighbour_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def where_cells(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """``np.where(mask, new, old)`` for 0/1 uint8 cells as bitwise ops (np.where is slow on bytes)."""
+    """``np.where(mask, new, old)`` as bitwise ops (np.where is slow on bytes): for 0/1
+    uint8 cells under a bool mask, or any uint8 values under a uint8 mask of 0 or 255."""
     return old ^ ((old ^ new) & mask.view(np.uint8))
+
+
+def choose_neighbour(u: np.ndarray, field: tuple) -> np.ndarray:
+    """Per cell, entry ``floor(4 * u)`` of its (N, E, S, W) ``field`` values.
+
+    ``field`` is ``neighbour_field`` of a uint8 array and ``u`` holds uniforms
+    in [0, 1). ``4 * u`` is exact, so ``floor(4 * u) < k`` exactly when
+    ``u < k / 4``: three bitwise selects build the result with no index array.
+    """
+    north, east, south, west = field
+
+    def below(t: float) -> np.ndarray:
+        return -(u < t).view(np.uint8)  # 255 where u < t, else 0
+
+    return where_cells(
+        below(0.5), where_cells(below(0.25), north, east), where_cells(below(0.75), south, west)
+    )
 
 
 def best_of(scores: tuple, strategies: tuple) -> tuple[np.ndarray, np.ndarray]:

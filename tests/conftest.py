@@ -168,14 +168,29 @@ def step_deterministic_bruteforce(g: Grid, scores: np.ndarray) -> Grid:
     return Grid(nxt.reshape(length, length))
 
 
-def step_fermi_bruteforce(g: Grid, scores: np.ndarray, k: float, mu: float, seed: int) -> Grid:
-    """Sequential replay of the documented draw layout: rng.random((Z, 3))."""
+# Both edges of each quarter of [0, 1): a neighbour draw u in [k/4, (k+1)/4)
+# picks entry k of (N, E, S, W).
+QUARTER_EDGES = (
+    0.0, np.nextafter(0.25, 0), 0.25, np.nextafter(0.5, 0),
+    0.5, np.nextafter(0.75, 0), 0.75, np.nextafter(1.0, 0),
+)
+
+
+def step_fermi_bruteforce(
+    g: Grid, scores: np.ndarray, k: float, mu: float, seed: int | None = None, draws=None
+) -> Grid:
+    """Sequential replay of the documented draw layout: rng.random((Z, 3)).
+
+    The draws come from ``default_rng(seed)`` unless ``draws``, a (Z, 3)
+    array of (mutation, neighbour, acceptance) uniforms, gives them.
+    """
     import math
 
     length = g.side_length
     flat = g.cells.reshape(-1)
     score_flat = scores.reshape(-1)
-    draws = np.random.default_rng(seed).random((g.size, 3))
+    if draws is None:
+        draws = np.random.default_rng(seed).random((g.size, 3))
     nxt = np.empty_like(flat)
     for i in range(g.size):
         u_mut, u_nbr, u_acc = draws[i]
@@ -186,4 +201,3 @@ def step_fermi_bruteforce(g: Grid, scores: np.ndarray, k: float, mu: float, seed
         p = 1.0 / (1.0 + math.exp(min(700.0, (score_flat[i] - score_flat[j]) / k)))
         nxt[i] = flat[j] if u_acc < p else flat[i]
     return Grid(nxt.reshape(length, length))
-

@@ -22,10 +22,16 @@ from latticecoop.game import (
     rank_table,
     score_table,
 )
-from latticecoop.grid import Grid, Strategy, coop_count
+from latticecoop.grid import Grid, Strategy, coop_count, neighbours
 from latticecoop.interference import NebI, NebII, Pop, apply
 
-from conftest import grids, homogeneous_grids, step_deterministic_bruteforce, step_fermi_bruteforce
+from conftest import (
+    QUARTER_EDGES,
+    grids,
+    homogeneous_grids,
+    step_deterministic_bruteforce,
+    step_fermi_bruteforce,
+)
 
 C, D = Strategy.C, Strategy.D
 
@@ -229,6 +235,82 @@ def test_step_fermi_on_acceptance_table_matches_replay(g, b, theta, n_c, k, mu, 
     assert got == step_fermi_bruteforce(g, scores, k, mu, seed)
     assert got == step_fermi(g, scores, rule, np.random.default_rng(seed))
     assert step(g, None, rule, np.random.default_rng(seed), accept) == got
+
+
+def test_step_fermi_rejects_bad_inputs():
+    g = lone_defector_grid(10)
+    payoff = PayoffParams(b=1.8)
+    rule = Fermi(K=0.3)
+    accept = acceptance_table(payoff, 0.0, 4, 0.3)
+    rng = np.random.default_rng(0)
+    for shape in ((20, 20), (5, 5), (100,)):
+        with pytest.raises(ValueError, match="scores"):
+            step_fermi(g, np.zeros(shape), rule, rng)
+        with pytest.raises(ValueError, match="scores"):
+            step_fermi(g, np.zeros(shape), rule, rng, accept)
+    with pytest.raises(ValueError, match="accept"):
+        step_fermi(g, None, rule, rng)
+    for size in (99, 101, 10):
+        with pytest.raises(ValueError, match="accept"):
+            step_fermi(g, None, rule, rng, np.full(size, 0.5))
+
+
+class FixedDraws:
+    """Stands in for a Generator whose one ``random((Z, 3))`` call returns ``draws``."""
+
+    def __init__(self, draws):
+        self.draws = draws
+        self.calls = 0
+
+    def random(self, shape):
+        assert shape == self.draws.shape
+        self.calls += 1
+        return self.draws.copy()
+
+
+def boundary_draws(g, scores, k, mu):
+    """(Z, 3) draws at every threshold: u_n cycles QUARTER_EDGES, u_m is mu / 2,
+    mu or above both, and u_a is the acceptance probability of the chosen
+    neighbour or the float just below it (which copies)."""
+    length = g.side_length
+    flat_scores = scores.reshape(-1)
+    mut_cycle = (mu / 2, mu, np.nextafter(mu / 2, 0), np.nextafter(mu, 0), 0.6, 0.9, 0.99)
+    draws = np.empty((g.size, 3))
+    for i in range(g.size):
+        u_nbr = QUARTER_EDGES[i % len(QUARTER_EDGES)]
+        j = neighbours(i, length)[int(4 * u_nbr)]
+        p = fermi_probability(float(flat_scores[i]), float(flat_scores[j]), k)
+        u_acc = p if (i // len(QUARTER_EDGES)) % 2 == 0 else np.nextafter(p, 0)
+        draws[i] = mut_cycle[i % len(mut_cycle)], u_nbr, u_acc
+    return draws
+
+
+@pytest.mark.parametrize("side", [3, 4, 7])
+@pytest.mark.parametrize("mu", [0.0, 0.02, 0.5])
+@pytest.mark.parametrize("b", TIE_BS)
+def test_step_fermi_at_draw_boundaries_matches_replay(side, mu, b):
+    # crafted draws at each threshold pin the neighbour selects, the mutation
+    # compares and the strict acceptance compare on both paths
+    payoff = PayoffParams(b=b)
+    rule = Fermi(K=0.3, mu=mu)
+    for seed in range(4):
+        g = Grid(np.random.default_rng(seed).integers(0, 2, (side, side), dtype=np.uint8))
+        table_scores = by_code(g.code, score_table(payoff, 3.0, 2))
+        draws = boundary_draws(g, table_scores, 0.3, mu)
+        expected = step_fermi_bruteforce(g, table_scores, 0.3, mu, draws=draws)
+        accept = acceptance_table(payoff, 3.0, 2, 0.3)
+        for scores, table in ((None, accept), (table_scores, None)):
+            rng = FixedDraws(draws)
+            assert step_fermi(g, scores, rule, rng, table) == expected
+            assert rng.calls == 1
+        # the float path on scores no code table gives
+        scores = compute_scores(g, payoff) + apply(NebII(eps=0.5), g, payoff).surplus
+        draws = boundary_draws(g, scores, 0.3, mu)
+        rng = FixedDraws(draws)
+        assert step_fermi(g, scores, rule, rng) == step_fermi_bruteforce(
+            g, scores, 0.3, mu, draws=draws
+        )
+        assert rng.calls == 1
 
 
 def test_step_dispatch():

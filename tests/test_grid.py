@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticecoop.grid import (
     Grid,
     Strategy,
+    choose_neighbour,
     coop_count,
     format_snapshot,
     grid_hash,
+    neighbour_field,
     neighbours,
     parse_snapshot,
     random_grid,
 )
 
-from conftest import grids
+from conftest import QUARTER_EDGES, grids
 
 
 def all_c(side):
@@ -106,6 +108,23 @@ def test_cell_codes_match_bruteforce(g):
     assert np.array_equal(g.coop_neighbours.reshape(-1), k)
     assert np.array_equal(g.code.reshape(-1), expected)
     assert not g.code.flags.writeable and not g.coop_neighbours.flags.writeable
+
+
+@settings(max_examples=60)
+@given(st.integers(3, 9), st.integers(0, 2**32 - 1))
+@example(3, 0)
+def test_choose_neighbour_matches_neighbours(side, seed):
+    # entry floor(4u) of the N, E, S, W list, cell by cell, on uint8 values up
+    # to 255 (every bit of the select mask is used); side 3 is the smallest
+    # torus, where every cell sits next to a wrapped edge
+    rng = np.random.default_rng(seed)
+    field = rng.integers(0, 256, (side, side), dtype=np.uint8)
+    u = rng.random((side, side))
+    u.reshape(-1)[: len(QUARTER_EDGES)] = QUARTER_EDGES
+    got = choose_neighbour(u, neighbour_field(field)).reshape(-1)
+    flat, u_flat = field.reshape(-1), u.reshape(-1)
+    for i in range(side * side):
+        assert got[i] == flat[neighbours(i, side)[int(4 * u_flat[i])]]
 
 
 def test_grid_hash_equal_grids():
