@@ -19,9 +19,9 @@ from scipy.special import expit
 from .game import ScoreField
 from .grid import (
     Grid,
-    best_of,
     check_field_types,
     choose_neighbour,
+    first_max,
     neighbour_field,
     where_cells,
     wrap_pad,
@@ -67,34 +67,40 @@ def fermi_probability(f_a: float, f_b: float, k: float) -> float:
     return float(expit((f_b - f_a) / k))
 
 
+def _check_scores(g: Grid, scores: ScoreField | None) -> None:
+    if np.shape(scores) != g.cells.shape:
+        raise ValueError(
+            f"scores must be shaped like the grid {g.cells.shape}, got {np.shape(scores)}"
+        )
+
+
 def step_deterministic(g: Grid, scores: ScoreField) -> Grid:
     """Synchronous imitate-best update.
 
     Each agent adopts the strategy of the highest-scoring member of itself
     plus its four neighbours; ties prefer self, then the fixed N, E, S, W
     order. Pure function of (g, scores). Only the order of the scores
-    matters: ``scores`` may be any per-cell array, of any dtype, whose
-    entries compare (``>`` and ``==``) as the scores do, such as their ranks.
+    matters: ``scores`` may be any per-cell array shaped like the grid, of any
+    dtype, whose entries compare (``>`` and ``==``) as the scores do, such as
+    their ranks. Scores of another shape raise ValueError.
 
-    uint8 ranks must be < 16 for the key path: a candidate's key is
-    ``rank << 4 | strategy`` plus a position bonus (self 8, N 6, E 4, S 2,
-    W 0), and the next strategy is the low bit of the largest key. A rank
-    step of 16 outweighs bonus plus strategy (<= 9) and equal ranks go by
-    bonus, so this is ``best_of``'s strict-``>`` running maximum, ties
-    included. Other scores, larger uint8 ranks among them, use ``best_of``.
+    uint8 ranks below 16 take the key path: a candidate's key is
+    ``rank << 4 | strategy`` and ``grid.first_max`` over self, N, E, S, W
+    picks the first candidate with the largest rank. Other scores, larger
+    uint8 ranks among them, take a strict-``>`` running maximum in the same
+    order, which keeps the first maximum too.
     """
+    _check_scores(g, scores)
     if scores.dtype == np.uint8 and scores.max() < 16:
         keys = scores * np.uint8(16)  # on uint8 a multiply is far faster than <<
         keys |= g.cells
-        north, east, south, west = neighbour_field(keys)
-        # max(self + 8, N + 6, E + 4, S + 2, W), the bonuses added Horner-style
-        best = keys
-        for key in (north, east, south, west):
-            best += 2
-            np.maximum(best, key, out=best)
+        best = first_max(keys, *neighbour_field(keys))
         best &= 1
         return Grid(best)
-    _, best = best_of((scores, *neighbour_field(scores)), (g.cells, *g.neighbour_cells))
+    best_score, best = scores, g.cells
+    for score, strategy in zip(neighbour_field(scores), g.neighbour_cells):
+        best = where_cells(score > best_score, strategy, best)
+        best_score = np.maximum(best_score, score)
     return Grid(best)
 
 
@@ -140,10 +146,8 @@ def step_fermi(
     length = g.side_length
     if accept is None and scores is None:
         raise ValueError("step_fermi needs scores or an acceptance table (accept)")
-    if scores is not None and np.shape(scores) != g.cells.shape:
-        raise ValueError(
-            f"scores must be shaped like the grid {g.cells.shape}, got {np.shape(scores)}"
-        )
+    if scores is not None:
+        _check_scores(g, scores)
     if accept is not None and np.size(accept) != 100:
         raise ValueError(f"accept must hold 100 entries, got {np.size(accept)}")
     # One contiguous row per use, so no pass below reads the strided draws.

@@ -2,8 +2,8 @@
 
 Each generation runs the fixed phase order
 
-    base scores -> interference (suppressed on homogeneous grids) ->
-    record metrics -> strategy update
+    interference (``none`` on homogeneous grids) -> record metrics ->
+    strategy update (by code after none, pop, neb; on base + surplus after neb_i, neb_ii)
 
 for ``generations + measure_window`` generations, stopping early when the
 population is absorbed (homogeneous, no mutation) or, under the
@@ -28,7 +28,7 @@ from .dynamics import Deterministic, Fermi, UpdateRule, step
 from .game import PayoffParams, acceptance_table, by_code, compute_scores, rank_table
 from .grid import MIN_SIDE_LENGTH, Grid, Strategy, check_field_types, coop_count, random_grid
 from .grid import grid_hash  # noqa: F401 (perfbench looks grid.grid_hash up here only)
-from .interference import FLAT_SCHEMES, InterferenceScheme, apply
+from .interference import InterferenceScheme, NoInterference, apply
 
 MAX_SEED = 2**64  # seeds are 64-bit unsigned
 # Largest L whose per-generation Fermi draw, Z = L * L rows of three float64
@@ -111,28 +111,24 @@ def step_generation(
 ) -> tuple[Grid, float]:
     """Advance one generation; returns (next grid, interference cost paid).
 
-    Interference is suppressed entirely on homogeneous grids (absorbing
-    without mutation, so investing there is pure waste). After a flat
-    investment (none, pop, neb) a cell's score follows from its code, so no
-    float scores are needed: imitate-best looks up the uint8 ranks of the ten
-    paid scores, and the Fermi rule looks its acceptance up by the codes of a
-    cell and its chosen neighbour (``game.acceptance_table``). A homogeneous
-    grid under the Fermi rule takes the table of the base scores, whatever the
-    scheme: imitation cannot change it. ``neb_i`` and ``neb_ii`` step on the
-    float scores ``base + surplus``; interference reads no base scores (it
-    looks each surplus up by codes), so ``base`` serves only that sum.
+    A homogeneous grid steps as a ``none`` generation: it is absorbing
+    without mutation, so investing there is pure waste. After a flat
+    investment (none, pop, neb: ``n_c`` set) a cell's score follows from its
+    code, so no float scores are needed: the Fermi rule looks its acceptance
+    up by the codes of a cell and its chosen neighbour
+    (``game.acceptance_table``), and imitate-best steps on the uint8 ranks of
+    the ten paid scores. ``neb_i`` and ``neb_ii`` step on the float scores
+    ``base + surplus``.
     """
-    homogeneous = is_homogeneous(g) is not None
-    if isinstance(rule, Fermi) and (homogeneous or isinstance(scheme, FLAT_SCHEMES)):
-        cost, theta, n_c = 0.0, 0.0, 4
-        if not homogeneous:
-            outcome = apply(scheme, g, payoff)
-            cost, theta, n_c = outcome.generation_cost, outcome.theta, outcome.n_c
-        return step(g, None, rule, rng, acceptance_table(payoff, theta, n_c, rule.K)), cost
-    base = compute_scores(g, payoff)
-    if homogeneous:
-        return step(g, base, rule, rng), 0.0
+    if is_homogeneous(g) is not None:
+        scheme = NoInterference()
     outcome = apply(scheme, g, payoff)
+    if outcome.n_c is not None and isinstance(rule, Fermi):
+        accept = acceptance_table(payoff, outcome.theta, outcome.n_c, rule.K)
+        return step(g, None, rule, rng, accept), outcome.generation_cost
+    # The rank path reads no base scores: they are computed there only while
+    # perfbench taps compute_scores (ROADMAP item 1).
+    base = compute_scores(g, payoff)
     if outcome.n_c is None:
         scores = base + outcome.surplus
     else:

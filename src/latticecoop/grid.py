@@ -219,17 +219,19 @@ def choose_neighbour(u: np.ndarray, field: tuple) -> np.ndarray:
     )
 
 
-def best_of(scores: tuple, strategies: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell: (highest candidate score, strategy of the first candidate with it).
+def first_max(best: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """Per cell, the largest of the candidate keys ``best, *rest`` plus a position
+    bonus (the last gets 0, each earlier one 2 more), written into ``best``.
 
-    A strict-``>`` running maximum in candidate order, so ties keep the
-    earliest candidate (the first max that ``argmax`` over a stack would pick).
+    For uint8 keys ``rank * step + strategy`` with ``step > 2 * len(rest) + 1``,
+    a rank step outweighs bonus plus strategy and equal ranks go by bonus, so
+    the low bit of the result is the strategy of the first candidate with the
+    largest rank. The bonuses are added Horner-style, 2 before each maximum.
     """
-    best_score, best_strategy = scores[0], strategies[0]
-    for score, strategy in zip(scores[1:], strategies[1:]):
-        best_strategy = where_cells(score > best_score, strategy, best_strategy)
-        best_score = np.maximum(best_score, score)
-    return best_score, best_strategy
+    for key in rest:
+        best += 2
+        np.maximum(best, key, out=best)
+    return best
 
 
 def coop_count(g: Grid) -> int:
@@ -308,11 +310,8 @@ def parse_snapshot(text: str) -> Grid:
     for r, row in enumerate(rows):
         if len(row) != length:
             raise ValueError(f"snapshot row {r} has length {len(row)}, expected {length}")
-        for c, ch in enumerate(row):
-            if ch == "C":
-                cells[r, c] = Strategy.C.value
-            elif ch == "D":
-                cells[r, c] = Strategy.D.value
-            else:
-                raise ValueError(f"invalid cell character {ch!r} at row {r}, column {c}")
+        if row.replace("C", "").replace("D", ""):  # the row holds another character
+            c = next(c for c, ch in enumerate(row) if ch not in "CD")
+            raise ValueError(f"invalid cell character {row[c]!r} at row {r}, column {c}")
+        cells[r] = np.frombuffer(row.encode("ascii"), np.uint8) == ord("C")
     return Grid(cells)

@@ -32,7 +32,15 @@ from typing import Union
 import numpy as np
 
 from .game import PayoffParams, by_code, rank_table, score_table
-from .grid import Grid, Strategy, _frozen, check_field_types, coop_count, neighbour_field
+from .grid import (
+    Grid,
+    Strategy,
+    _frozen,
+    check_field_types,
+    coop_count,
+    first_max,
+    neighbour_field,
+)
 
 # Tolerance absorbing float rounding when a fractional population threshold
 # is scaled to a count (e.g. 0.7 * 10000 evaluating just below 7000).
@@ -107,9 +115,6 @@ InterferenceScheme = Union[NoInterference, Pop, Neb, NebI, NebII]
 # Config kind name -> scheme class. A family's first field is its sweep
 # threshold axis; ``theta``, where present, is its investment axis.
 SCHEMES = {"none": NoInterference, "pop": Pop, "neb": Neb, "neb_i": NebI, "neb_ii": NebII}
-
-# The schemes whose outcome is flat (``n_c`` set).
-FLAT_SCHEMES = (NoInterference, Pop, Neb)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,13 +196,12 @@ def apply_neb(g: Grid, scheme: Neb) -> InvestmentOutcome:
 # A cell's best neighbour under neb_i/neb_ii is the first of its N, E, S, W
 # neighbours, in that order, with the largest base score. Each cell's node
 # key is ``rank * 8 + strategy`` for the dense rank of its base score
-# (``game.rank_table``, at most 9). Adding a position bonus (N 6, E 4, S 2,
-# W 0) and taking the largest key finds the best neighbour: a rank step of 8
-# outweighs bonus plus strategy (<= 7) and equal ranks go by bonus. A cell's
-# neb_i surplus is then a function of its own code and the winner's rank and
-# strategy, and its neb_ii surplus of those and of the largest lure rank
-# among its neighbours. Both are looked up in small tables built per
-# (payoff, eps).
+# (``game.rank_table``, at most 9), and ``grid.first_max`` over the N, E, S,
+# W keys finds the best neighbour: a rank step of 8 outweighs bonus plus
+# strategy (<= 7) and equal ranks go by bonus. A cell's neb_i surplus is then
+# a function of its own code and the winner's rank and strategy, and its
+# neb_ii surplus of those and of the largest lure rank among its neighbours.
+# Both are looked up in small tables built per (payoff, eps).
 _CODES, _RANKS, _LURES = 10, 10, 11  # lure 0 is no luring target, r + 1 is rank r
 _NEB_CACHE = 16  # (payoff, eps) pairs kept: each neb_ii entry is ~18 KB
 
@@ -215,14 +219,8 @@ def _best_index(g: Grid, payoff: PayoffParams) -> np.ndarray:
     code and its best neighbour's base-score rank and strategy."""
     keys = by_code(g.code, _node_keys(payoff))
     north, east, south, west = neighbour_field(keys)
-    # max(N + 6, E + 4, S + 2, W), the bonuses added Horner-style into the
-    # keys' buffer (the field holds its own copy)
-    best = np.add(north, 2, out=keys)
-    np.maximum(best, east, out=best)
-    best += 2
-    np.maximum(best, south, out=best)
-    best += 2
-    np.maximum(best, west, out=best)
+    np.copyto(keys, north)  # the keys' buffer is free: the field holds its own copy
+    best = first_max(keys, east, south, west)
     index = g.code * np.uint8(2 * _RANKS)
     index += best & 1  # the strategy
     best >>= 3  # the rank

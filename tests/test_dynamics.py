@@ -94,6 +94,15 @@ def test_fermi_probability_rejects_bad_inputs():
         fermi_probability(1.0, 2.0, 0.0)
 
 
+def test_step_deterministic_rejects_misshaped_scores():
+    # unchecked, (10,) float scores would broadcast along the rows into a 10x10 grid
+    g = lone_defector_grid(10)
+    for dtype in (np.float64, np.uint8):
+        for shape in ((10,), (1, 10), (20, 20), (5, 5), ()):
+            with pytest.raises(ValueError, match="scores must be shaped like the grid"):
+                step_deterministic(g, np.zeros(shape, dtype))
+
+
 def test_step_deterministic_homogeneous_fixed():
     g = Grid(np.ones((5, 5), dtype=np.uint8))
     scores = compute_scores(g, PayoffParams(b=1.8))

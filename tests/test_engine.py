@@ -263,18 +263,19 @@ def test_fermi_rule_never_reports_cycles():
 
 
 @settings(max_examples=60, deadline=None)
-@given(grids(), st.sampled_from(TIE_THETAS) | st.floats(0.01, 6.0))
+@given(grids() | homogeneous_grids(), st.sampled_from(TIE_THETAS) | st.floats(0.01, 6.0))
 def test_rank_path_matches_float_scores(g, theta):
-    # none, pop and neb step on uint8 score ranks under imitate-best; the next
-    # grid and the cost must be those of the float scores base + surplus
-    assume(0 < int(g.cells.sum()) < g.size)  # homogeneous grids skip interference
+    # none, pop and neb step on uint8 score ranks under imitate-best, and so
+    # does a homogeneous grid under any scheme (as none); the next grid and the
+    # cost must be those of the float scores base + surplus
     schemes = [NoInterference(), Pop(p_c=1.0, theta=theta), Pop(p_c=0.5, theta=theta)]
     schemes += [Neb(n_c=n_c, theta=theta) for n_c in range(5)]
     for b in TIE_BS:
         payoff = PayoffParams(b=b)
+        base = compute_scores(g, payoff)
         for scheme in schemes:
-            surplus = flat_surplus_bruteforce(g, scheme)
-            expected = step_deterministic_bruteforce(g, compute_scores(g, payoff) + surplus)
+            surplus = _surplus_bruteforce(g, base, scheme)  # zero on homogeneous grids
+            expected = step_deterministic_bruteforce(g, base + surplus)
             nxt, cost = step_generation(g, payoff, scheme, Deterministic())
             assert nxt == expected, (b, scheme)
             assert cost == float(surplus.sum()), (b, scheme)

@@ -8,6 +8,7 @@ from latticecoop.grid import (
     Strategy,
     choose_neighbour,
     coop_count,
+    first_max,
     format_snapshot,
     grid_hash,
     neighbour_field,
@@ -200,11 +201,34 @@ def test_snapshot_round_trip(g):
 
 
 def test_snapshot_parse_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must start with an 'L=<int>' line"):
         parse_snapshot("3\nCCC\nCCC\nCCC\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="declares L=3 but has 2 rows"):
         parse_snapshot("L=3\nCCC\nCCC\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid cell character 'X' at row 1, column 1$"):
         parse_snapshot("L=3\nCCC\nCXC\nCCC\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="snapshot row 1 has length 4, expected 3"):
         parse_snapshot("L=3\nCCC\nCCCC\nCCC\n")
+    # rows are checked in order, length first: the invalid row 0 is reported
+    with pytest.raises(ValueError, match="invalid cell character 'x' at row 0, column 2$"):
+        parse_snapshot("L=3\nCCx\nCCCC\nCCC\n")
+    # a Cyrillic capital Es looks like C but is not one
+    with pytest.raises(ValueError, match="invalid cell character '\u0421' at row 2, column 0$"):
+        parse_snapshot("L=3\nCCC\nDDD\n\u0421CD\n")
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_first_max_picks_the_first_largest_rank(n, seed):
+    # keys rank * step + strategy with step > 2 * (n - 1) + 1: the low bit of the
+    # result is the strategy of the first candidate (argmax) with the largest rank
+    rng = np.random.default_rng(seed)
+    step = 2 * n
+    ranks = rng.integers(0, 256 // step - 1, size=(n, 6, 6), dtype=np.uint8)
+    strategies = rng.integers(0, 2, size=(n, 6, 6), dtype=np.uint8)
+    keys = ranks * np.uint8(step) + strategies
+    winner = np.take_along_axis(strategies, ranks.argmax(axis=0)[None], axis=0)[0]
+    best = keys[0].copy()
+    assert first_max(best, *keys[1:]) is best
+    assert np.array_equal(best & 1, winner)
+    assert np.array_equal(best // step, ranks.max(axis=0))
