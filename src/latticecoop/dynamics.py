@@ -96,12 +96,12 @@ def step_deterministic(g: Grid, scores: ScoreField) -> Grid:
         keys |= g.cells
         best = first_max(keys, *neighbour_field(keys))
         best &= 1
-        return Grid(best)
+        return Grid._owning(best)
     best_score, best = scores, g.cells
     for score, strategy in zip(neighbour_field(scores), g.neighbour_cells):
         best = where_cells(score > best_score, strategy, best)
         best_score = np.maximum(best_score, score)
-    return Grid(best)
+    return Grid._owning(best)
 
 
 @lru_cache(maxsize=16)
@@ -181,7 +181,7 @@ def step_fermi(
         # a mutant becomes C (1) when u_m < mu / 2, else D (0)
         mutants = np.flatnonzero(u_mut < rule.mu)
         next_cells.put(mutants, u_mut.take(mutants) < rule.mu / 2.0)
-    return Grid(next_cells)
+    return Grid._owning(next_cells)
 
 
 def step(

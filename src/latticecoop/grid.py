@@ -13,12 +13,29 @@ import hashlib
 import numbers
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import cache, cached_property
+from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 MIN_SIDE_LENGTH = 3  # below this the four neighbours are not distinct
+
+
+class cached_field:
+    """``functools.cached_property`` without its lock: the first access stores the
+    value in the instance ``__dict__``, which then shadows this non-data
+    descriptor (what ``cached_property`` does from Python 3.12; 3.10 and 3.11
+    take an RLock on each first access)."""
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.compute.__name__] = self.compute(instance)
+        return value
 
 
 class Strategy(IntEnum):
@@ -52,12 +69,23 @@ class Grid:
         frozen.setflags(write=False)
         object.__setattr__(self, "cells", frozen)
 
-    @cached_property
+    @classmethod
+    def _owning(cls, cells: np.ndarray) -> Grid:
+        """Grid over ``cells`` itself, frozen in place with no check or copy.
+
+        Only for a 0/1 uint8 (L, L) array that the caller has just built and
+        that nothing else references: the update rules' next generation.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "cells", _frozen(np.ascontiguousarray(cells)))
+        return g
+
+    @cached_field
     def neighbour_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """N, E, S, W neighbour strategies, built once and shared within a generation."""
         return neighbour_field(self.cells)
 
-    @cached_property
+    @cached_field
     def coop_neighbours(self) -> np.ndarray:
         """Per cell, its number k of cooperating neighbours (uint8, 0..4)."""
         north, east, south, west = self.neighbour_cells
@@ -66,14 +94,14 @@ class Grid:
         k += west
         return _frozen(k)
 
-    @cached_property
+    @cached_field
     def code(self) -> np.ndarray:
         """Per cell, ``5 * strategy + k`` (uint8, 0..9): all its base score depends on."""
         code = self.cells * np.uint8(5)
         code += self.coop_neighbours
         return _frozen(code)
 
-    @cached_property
+    @cached_field
     def coop_count(self) -> int:
         """Number of cooperators x_C, counted once per grid."""
         return int(np.count_nonzero(self.cells))
@@ -286,23 +314,30 @@ def random_grid(
 
 def format_snapshot(g: Grid) -> str:
     """Text snapshot: first line ``L=<int>``, then L lines of L chars from {C, D}."""
-    symbols = np.where(g.cells == Strategy.C.value, "C", "D")
-    rows = ["".join(row) for row in symbols]
-    return f"L={g.side_length}\n" + "\n".join(rows) + "\n"
+    length = g.side_length
+    rows = np.empty((length, length + 1), dtype=np.uint8)  # each row ends in a newline
+    rows[:, :-1] = ord("D")
+    rows[:, :-1] -= g.cells  # C (1) is the byte below D
+    rows[:, -1] = ord("\n")
+    return f"L={length}\n" + rows.tobytes().decode("ascii")
 
 
 def parse_snapshot(text: str) -> Grid:
     """Parse the snapshot format emitted by :func:`format_snapshot`.
 
-    Bit-exact round-trip: ``parse_snapshot(format_snapshot(g)) == g``.
+    Bit-exact round-trip: ``parse_snapshot(format_snapshot(g)) == g``. Only a
+    line feed (alone or after a carriage return) ends a line, and the header
+    is ``L=`` followed by ASCII digits.
     """
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":  # the final line end
+        lines.pop()
     if not lines or not lines[0].startswith("L="):
         raise ValueError("snapshot must start with an 'L=<int>' line")
-    try:
-        length = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"invalid side length in snapshot header: {lines[0]!r}") from None
+    digits = lines[0][2:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid side length in snapshot header: {lines[0]!r}")
+    length = int(digits)
     rows = lines[1:]
     if len(rows) != length:
         raise ValueError(f"snapshot declares L={length} but has {len(rows)} rows")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -36,6 +36,7 @@ from .grid import (
     Grid,
     Strategy,
     _frozen,
+    cached_field,
     check_field_types,
     coop_count,
     first_max,
@@ -135,7 +136,7 @@ class InvestmentOutcome:
     _grid: Grid | None = field(default=None, repr=False)
     _surplus: np.ndarray | None = field(default=None, repr=False)
 
-    @cached_property
+    @cached_field
     def surplus(self) -> np.ndarray:
         """Per-agent surplus, a read-only float64 array shaped like the grid."""
         if self._surplus is None:
@@ -183,7 +184,7 @@ def _paid_count(g: Grid, n_c: int) -> int:
 
 def apply_pop(g: Grid, scheme: Pop) -> InvestmentOutcome:
     """All-or-nothing: every cooperator gets theta iff x_C <= p_c * Z."""
-    threshold_count = int(np.floor(scheme.p_c * g.size + _POP_COUNT_EPS))
+    threshold_count = math.floor(scheme.p_c * g.size + _POP_COUNT_EPS)
     theta = scheme.theta if coop_count(g) <= threshold_count else 0.0
     return InvestmentOutcome.flat(g, theta)
 

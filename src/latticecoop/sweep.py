@@ -13,6 +13,7 @@ import math
 import time
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from functools import cache
 from itertools import islice, product
 from typing import get_type_hints
 
@@ -54,7 +55,8 @@ class SweepSpec:
         _check_values("threshold_values", self.threshold_values)
         if any(t <= 0 for t in self.theta_values):
             raise ValueError("theta_values must all be > 0")
-        if "theta" not in get_type_hints(family) and len(self.theta_values) != 1:
+        _, _, takes_theta = _family_axes(family)
+        if not takes_theta and len(self.theta_values) != 1:
             raise ValueError(f"{self.scheme_kind} takes no theta; pass one placeholder value")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
@@ -65,16 +67,24 @@ class SweepSpec:
 
     def cell_scheme(self, theta: float, threshold: float) -> InterferenceScheme:
         family = SCHEMES[self.scheme_kind]
-        types = get_type_hints(family)
-        axis = fields(family)[0].name
+        axis, integral, takes_theta = _family_axes(family)
         values = {axis: threshold}
-        if types[axis] is int:
+        if integral:
             if not float(threshold).is_integer():
                 raise ValueError(f"{axis} threshold must be an integer, got {threshold}")
             values[axis] = int(threshold)
-        if "theta" in types:
+        if takes_theta:
             values["theta"] = theta
         return family(**values)
+
+
+@cache
+def _family_axes(family: type) -> tuple[str, bool, bool]:
+    """A scheme family's threshold field, whether that field is an int, and
+    whether the family takes ``theta``: read from its type hints once."""
+    types = get_type_hints(family)
+    axis = fields(family)[0].name
+    return axis, types[axis] is int, "theta" in types
 
 
 def _check_values(name: str, values: tuple[float, ...]) -> None:

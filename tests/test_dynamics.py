@@ -161,6 +161,51 @@ def test_step_deterministic_on_ranks_up_to_19_matches_float_path(g, seed):
     assert step_deterministic(g, halved) == step_deterministic_bruteforce(g, halved)
 
 
+def _assert_owns_fresh_cells(result: Grid, g: Grid, scores) -> None:
+    # a step's grid is frozen in place, unchecked: its cells must be a new
+    # 0/1 array, read-only, that no input shares, and equal to a checked Grid
+    cells = result.cells
+    assert cells.dtype == np.uint8 and cells.flags.c_contiguous
+    assert not cells.flags.writeable
+    assert set(np.unique(cells).tolist()) <= {0, 1}
+    assert not np.shares_memory(cells, g.cells)
+    if scores is not None:
+        assert not np.shares_memory(cells, scores)
+    assert result == Grid(cells.copy())
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids() | homogeneous_grids(), st.sampled_from(TIE_BS), st.floats(0.0, 6.0), st.integers(0, 4))
+def test_step_deterministic_results_own_read_only_cells(g, b, theta, n_c):
+    payoff = PayoffParams(b=b)
+    ranks = by_code(g.code, rank_table(payoff, theta, n_c))  # key path: below 16
+    assert ranks.max() < 16
+    high = ranks + np.uint8(16)  # same order, running-maximum path
+    floats = by_code(g.code, score_table(payoff, theta, n_c))
+    for scores in (ranks, high, floats):
+        _assert_owns_fresh_cells(step_deterministic(g, scores), g, scores)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grids() | homogeneous_grids(),
+    st.sampled_from(TIE_BS),
+    st.floats(0.0, 6.0),
+    st.integers(0, 4),
+    st.sampled_from([0.0, 0.3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_step_fermi_results_own_read_only_cells(g, b, theta, n_c, mu, seed):
+    payoff = PayoffParams(b=b)
+    rule = Fermi(K=0.1, mu=mu)
+    accept = acceptance_table(payoff, theta, n_c, rule.K)
+    table = step_fermi(g, None, rule, np.random.default_rng(seed), accept)
+    _assert_owns_fresh_cells(table, g, accept)
+    scores = by_code(g.code, score_table(payoff, theta, n_c))
+    floats = step_fermi(g, scores, rule, np.random.default_rng(seed))
+    _assert_owns_fresh_cells(floats, g, scores)
+
+
 def test_step_deterministic_is_pure():
     g = lone_defector_grid(8)
     scores = _invested_scores(g, 1.8, 4.3)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latticecoop.dynamics import Fermi, step_deterministic, step_fermi
+from latticecoop.game import PayoffParams, compute_scores
 from latticecoop.grid import (
     Grid,
     Strategy,
@@ -215,6 +217,52 @@ def test_snapshot_parse_errors():
     # a Cyrillic capital Es looks like C but is not one
     with pytest.raises(ValueError, match="invalid cell character '\u0421' at row 2, column 0$"):
         parse_snapshot("L=3\nCCC\nDDD\n\u0421CD\n")
+    # only a line feed ends a row: str.splitlines would also split at U+0085
+    with pytest.raises(ValueError, match=r"invalid cell character '\\x85' at row 0, column 1$"):
+        parse_snapshot("L=3\nC\x85C\nCCC\nCCC\n")
+    # the side length is ASCII digits only, with no sign, space or other numerals
+    for header in ("L= +3", "L=\u0663", "L=3 ", "L=-3", "L="):
+        with pytest.raises(ValueError, match="invalid side length in snapshot header"):
+            parse_snapshot(header + "\nCCC\nCCC\nCCC\n")
+
+
+def test_snapshot_parses_crlf_line_ends():
+    text = "L=3\r\nCDC\r\nDDC\r\nCCD\r\n"
+    assert format_snapshot(parse_snapshot(text)) == text.replace("\r\n", "\n")
+
+
+def _snapshot_oracle(g: Grid) -> str:
+    rows = ("".join("C" if v == Strategy.C else "D" for v in row) for row in g.cells.tolist())
+    return f"L={g.side_length}\n" + "".join(row + "\n" for row in rows)
+
+
+@settings(max_examples=60)
+@given(grids())
+@example(all_c(3))
+@example(all_d(8))
+@example(random_grid(100, 0.5, np.random.default_rng(3)))
+def test_format_snapshot_matches_per_cell_oracle(g):
+    assert format_snapshot(g) == _snapshot_oracle(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids(), st.integers(0, 2**32 - 1))
+def test_cached_fields_are_kept_and_read_only(g, seed):
+    # on a checked grid and on the grids the two update rules build: a second
+    # access returns the first value itself, and no array in it can be written
+    scores = compute_scores(g, PayoffParams(b=1.8))
+    made = (
+        g,
+        step_deterministic(g, scores),
+        step_fermi(g, scores, Fermi(K=0.1, mu=0.3), np.random.default_rng(seed)),
+    )
+    for grid in made:
+        for name in ("coop_count", "neighbour_cells", "coop_neighbours", "code"):
+            first = getattr(grid, name)
+            assert getattr(grid, name) is first
+        arrays = (*grid.neighbour_cells, grid.coop_neighbours, grid.code)
+        assert not any(array.flags.writeable for array in arrays)
+        assert grid.coop_count == int(grid.cells.sum())
 
 
 @settings(max_examples=100)
