@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="check one-step simulations against the closed-form thresholds"
     )
     p_verify.add_argument("b_values", type=float, nargs="+", metavar="B")
-    p_verify.add_argument("--points", type=int, default=50, help="theta grid size per b")
+    p_verify.add_argument("--points", type=positive_int, default=50, help="theta grid size per b")
 
     p_snap = sub.add_parser("snapshot", help="re-emit a stored grid snapshot as text")
     p_snap.add_argument("path", help="snapshot file to read")

@@ -19,12 +19,12 @@ from scipy.special import expit
 from .game import ScoreField
 from .grid import (
     Grid,
+    _frozen,
     check_field_types,
     choose_neighbour,
     first_max,
     neighbour_field,
     where_cells,
-    wrap_pad,
 )
 
 
@@ -98,22 +98,19 @@ def step_deterministic(g: Grid, scores: ScoreField) -> Grid:
         best &= 1
         return Grid._owning(best)
     best_score, best = scores, g.cells
-    for score, strategy in zip(neighbour_field(scores), g.neighbour_cells):
+    for score, strategy in zip(neighbour_field(scores), neighbour_field(g.cells)):
         best = where_cells(score > best_score, strategy, best)
         best_score = np.maximum(best_score, score)
     return Grid._owning(best)
 
 
 @lru_cache(maxsize=16)
-def _padded_index(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat N, E, S, W offsets in a wrap-padded L x L array, and each cell's
-    flat index there as an (L, L) array."""
-    stride = length + 2  # padded rows are L + 2 long
-    inner = np.arange(1, length + 1)
-    index = (np.array((-stride, 1, stride, -1)), inner[:, None] * stride + inner)
-    for part in index:
-        part.setflags(write=False)
-    return index
+def _neighbour_index(length: int) -> np.ndarray:
+    """Flat index of each agent's N, E, S, W neighbours: entry ``d * Z + i`` is
+    the neighbour in direction d of agent i, in the smallest unsigned dtype."""
+    z = length * length
+    agents = np.arange(z, dtype=np.min_scalar_type(z - 1)).reshape(length, length)
+    return _frozen(np.stack(neighbour_field(agents)).reshape(-1))
 
 
 def step_fermi(
@@ -153,24 +150,23 @@ def step_fermi(
     # One contiguous row per use, so no pass below reads the strided draws.
     u_mut, u_nbr, u_acc = rng.random((g.size, 3)).T.reshape(3, length, length).copy()
 
+    nbr_code = choose_neighbour(u_nbr, neighbour_field(g.code))
+    nbr_strat = (nbr_code >= 5).view(np.uint8)  # a code >= 5 is a cooperator
     if accept is not None:
         # Copying a neighbour of one's own strategy changes nothing, so the
-        # test runs on every agent; a code >= 5 is a cooperator.
-        nbr_code = choose_neighbour(u_nbr, neighbour_field(g.code))
+        # test runs on every agent.
         pair = g.code * np.uint8(10)
         pair += nbr_code
         copied = u_acc < accept.take(pair)
-        next_cells = where_cells(copied, (nbr_code >= 5).view(np.uint8), g.cells)
+        next_cells = where_cells(copied, nbr_strat, g.cells)
     else:
         # Acceptance can change only agents whose chosen neighbour plays the
-        # other strategy, so the logistic is evaluated for those alone, and
-        # only their neighbours' flat indices in the wrap-padded scores are built.
-        nbr_strat = choose_neighbour(u_nbr, g.neighbour_cells)
+        # other strategy, so the logistic is evaluated for those alone.
         differ = np.flatnonzero(nbr_strat != g.cells)
-        offsets, cell_index = _padded_index(length)
-        nbr = offsets.take((u_nbr.take(differ) * 4.0).astype(np.intp))  # 0..3 since u < 1
-        nbr += cell_index.take(differ)
-        gap = wrap_pad(scores).take(nbr)
+        nbr = (u_nbr.take(differ) * 4.0).astype(np.intp)  # direction 0..3 since u < 1
+        nbr *= g.size
+        nbr += differ
+        gap = scores.take(_neighbour_index(length).take(nbr))
         gap -= scores.take(differ)
         gap /= rule.K
         copied = differ[u_acc.take(differ) < expit(gap, out=gap)]

@@ -81,24 +81,12 @@ class Grid:
         return g
 
     @cached_field
-    def neighbour_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """N, E, S, W neighbour strategies, built once and shared within a generation."""
-        return neighbour_field(self.cells)
-
-    @cached_field
-    def coop_neighbours(self) -> np.ndarray:
-        """Per cell, its number k of cooperating neighbours (uint8, 0..4)."""
-        north, east, south, west = self.neighbour_cells
-        k = north + east  # one buffer, added into in place
-        k += south
-        k += west
-        return _frozen(k)
-
-    @cached_field
     def code(self) -> np.ndarray:
-        """Per cell, ``5 * strategy + k`` (uint8, 0..9): all its base score depends on."""
+        """Per cell, ``5 * strategy + k`` (uint8, 0..9), with k its number of
+        cooperating neighbours: all its base score depends on."""
         code = self.cells * np.uint8(5)
-        code += self.coop_neighbours
+        for neighbour in neighbour_field(self.cells):
+            code += neighbour
         return _frozen(code)
 
     @cached_field
@@ -204,22 +192,17 @@ def neighbours(i: int, side_length: int) -> tuple[int, int, int, int]:
     return north, east, south, west
 
 
-def wrap_pad(values: np.ndarray) -> np.ndarray:
-    """(L+2, L+2) copy of ``values`` inside a one-cell halo that wraps the torus."""
+def neighbour_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's (N, E, S, W) neighbour values as read-only views of one
+    (L+2, L+2) copy of ``values`` inside a one-cell halo that wraps the torus.
+
+    ``north[r, c]`` is ``values[(r-1) % L, c]``; east, south, west likewise.
+    """
     length = values.shape[0]
     padded = np.empty((length + 2, length + 2), dtype=values.dtype)
     padded[1:-1, 1:-1] = values
     padded[0], padded[-1] = padded[-2], padded[1]
     padded[:, 0], padded[:, -1] = padded[:, -2], padded[:, 1]
-    return padded
-
-
-def neighbour_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each cell's (N, E, S, W) neighbour values as read-only views of one wrap_pad copy.
-
-    ``north[r, c]`` is ``values[(r-1) % L, c]``; east, south, west likewise.
-    """
-    padded = wrap_pad(values)
     padded.setflags(write=False)
     return padded[:-2, 1:-1], padded[1:-1, 2:], padded[2:, 1:-1], padded[1:-1, :-2]
 

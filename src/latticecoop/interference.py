@@ -166,7 +166,7 @@ class InvestmentOutcome:
 
 
 def _flat_surplus(g: Grid, theta: float, n_c: int) -> np.ndarray:
-    invested = g.cells if n_c >= 4 else g.cells & (g.coop_neighbours <= n_c)
+    invested = g.cells if n_c >= 4 else g.cells & (g.code <= 5 + n_c)
     return _frozen(invested * theta)  # C is 1, D is 0
 
 

@@ -1,12 +1,14 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from latticecoop.analysis import sweep_row
+from latticecoop import analysis
+from latticecoop.analysis import MicroOutcome, sweep_row
 from latticecoop.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from latticecoop.config import (
     ConfigError,
@@ -412,6 +414,49 @@ def test_cmd_sweep_without_sweep_section(tmp_path):
     assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("model: [1", "config: invalid YAML ("),
+        ("", "config: document is empty"),
+        ("- model", "config: top level must be a mapping of sections"),
+        ("model: [10, 1.8]\nscheme: {kind: none}\n", "model: must be a mapping, got list"),
+        (
+            "model: {side_length: 8, b: 1.8}\nscheme: {kind: neb, theta: 5.3}\n"
+            "rule: {kind: deterministic}\nsweep: {theta_values: [5.3], threshold_values: [3]}\n",
+            "scheme.theta: not allowed alongside a sweep section (",
+        ),
+        (
+            "model: {side_length: 8, b: 1.8}\nscheme: {kind: none}\n"
+            "rule: {kind: deterministic}\nprotocol: {replicates: 0}\n",
+            "protocol: replicates must be >= 1, got 0",
+        ),
+    ],
+)
+def test_cmd_run_malformed_config_exits_config(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}"), err
+
+
+def test_cmd_run_on_a_sweep_config_exits_config(tmp_path, capsys):
+    path = write_config(tmp_path, SWEEP_CONFIG)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: scheme: set by the sweep section (use the sweep command)\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cmd_run_rejects_a_negative_seed(tmp_path, capsys):
+    path = write_config(tmp_path, RUN_CONFIG)
+    assert main(["run", "--config", str(path), "--seed", "-1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: --seed: seed must be in [0, 2^64), got -1\n"
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("command, template", [("run", RUN_CONFIG), ("sweep", SWEEP_CONFIG)])
 def test_cmd_rejects_workers_below_one(tmp_path, capsys, command, template):
     path = write_config(tmp_path, template)
@@ -434,8 +479,31 @@ def test_cmd_verify_rejects_bad_b(capsys):
 
 
 def test_cmd_verify_rejects_empty_theta_grid(capsys):
-    assert main(["verify", "1.8", "--points", "0"]) == EXIT_CONFIG
-    assert "n_points" in capsys.readouterr().err
+    for points in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "1.8", "--points", points])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --points: must be >= 1" in capsys.readouterr().err
+
+
+def test_cmd_verify_reports_each_contradiction(capsys, monkeypatch):
+    # a closed form that disagrees with every simulated step: one line per theta
+    real = analysis.classify_pop_regime
+
+    def flipped(b, theta):
+        stable = real(b, theta) == MicroOutcome.STABLE
+        return MicroOutcome.C_CONVERTS if stable else MicroOutcome.STABLE
+
+    monkeypatch.setattr(analysis, "classify_pop_regime", flipped)
+    assert main(["verify", "1.8", "--points", "20"]) == EXIT_FAIL
+    header, *lines = capsys.readouterr().out.splitlines()
+    checked = int(re.search(r"checked=(\d+) ", header)[1])
+    assert checked > 0 and header.endswith(f"[{checked} CONTRADICTIONS]")
+    assert len(lines) == checked
+    line = r"  contradiction: b=1\.8 theta=\S+ expected=(\w+) observed=(\w+)"
+    for text in lines:
+        expected, observed = re.fullmatch(line, text).groups()
+        assert expected != observed
 
 
 def test_cmd_verify_fails_when_nothing_is_checked(capsys):

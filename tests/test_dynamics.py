@@ -9,6 +9,7 @@ from latticecoop.analysis import lone_defector_grid
 from latticecoop.dynamics import (
     Deterministic,
     Fermi,
+    _neighbour_index,
     fermi_probability,
     step,
     step_deterministic,
@@ -266,6 +267,19 @@ def test_step_fermi_matches_sequential_replay_on_invested_scores(g, scheme, mu, 
         scores = compute_scores(g, payoff) + apply(scheme, g, payoff).surplus
         got = step_fermi(g, scores, Fermi(K=0.3, mu=mu), np.random.default_rng(seed))
         assert got == step_fermi_bruteforce(g, scores, 0.3, mu, seed)
+
+
+@pytest.mark.parametrize("side", [*range(3, 10), 256, 257])
+def test_neighbour_index_matches_neighbours(side):
+    # entry d * Z + i is agent i's neighbour in direction d (N, E, S, W), in the
+    # smallest unsigned dtype that holds Z - 1: uint16 up to L=256, then uint32
+    z = side * side
+    index = _neighbour_index(side)
+    assert index.shape == (4 * z,) and not index.flags.writeable
+    assert index.dtype == np.min_scalar_type(z - 1)
+    agents = range(z) if side < 10 else (0, side - 1, z // 2, z - side, z - 1)
+    for i in agents:
+        assert tuple(int(index[d * z + i]) for d in range(4)) == neighbours(i, side)
 
 
 @settings(max_examples=60, deadline=None)

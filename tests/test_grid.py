@@ -107,10 +107,9 @@ def test_cell_codes_match_bruteforce(g):
     flat = g.cells.reshape(-1)
     k = [sum(int(flat[j]) for j in neighbours(i, g.side_length)) for i in range(g.size)]
     expected = 5 * flat.astype(int) + np.array(k)
-    assert g.coop_neighbours.dtype == np.uint8 and g.code.dtype == np.uint8
-    assert np.array_equal(g.coop_neighbours.reshape(-1), k)
+    assert g.code.dtype == np.uint8
     assert np.array_equal(g.code.reshape(-1), expected)
-    assert not g.code.flags.writeable and not g.coop_neighbours.flags.writeable
+    assert not g.code.flags.writeable
 
 
 @settings(max_examples=60)
@@ -257,11 +256,10 @@ def test_cached_fields_are_kept_and_read_only(g, seed):
         step_fermi(g, scores, Fermi(K=0.1, mu=0.3), np.random.default_rng(seed)),
     )
     for grid in made:
-        for name in ("coop_count", "neighbour_cells", "coop_neighbours", "code"):
+        for name in ("coop_count", "code"):
             first = getattr(grid, name)
             assert getattr(grid, name) is first
-        arrays = (*grid.neighbour_cells, grid.coop_neighbours, grid.code)
-        assert not any(array.flags.writeable for array in arrays)
+        assert not grid.code.flags.writeable
         assert grid.coop_count == int(grid.cells.sum())
 
 
