@@ -9,14 +9,14 @@ randomness in a documented per-agent order so runs are seed-reproducible.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
-from .game import ScoreField
+from .game import ScoreField, logistic
 from .grid import (
     Grid,
     _frozen,
@@ -57,14 +57,14 @@ RULES = {"deterministic": Deterministic, "fermi": Fermi}
 def fermi_probability(f_a: float, f_b: float, k: float) -> float:
     """Probability that agent A (score f_a) copies neighbour B (score f_b).
 
-    Evaluates (1 + exp((f_a - f_b) / K))^-1 through the numerically stable
-    logistic, so extreme score gaps saturate to 0.0 or 1.0 without overflow.
+    Evaluates (1 + exp((f_a - f_b) / K))^-1 as ``game.logistic``, so extreme
+    score gaps saturate to 0.0 or 1.0 without overflow.
     """
     if not k > 0.0:
         raise ValueError(f"noise amplitude K must be > 0, got {k}")
     if not (math.isfinite(f_a) and math.isfinite(f_b)):
         raise ValueError(f"scores must be finite, got f_a={f_a}, f_b={f_b}")
-    return float(expit((f_b - f_a) / k))
+    return logistic((f_b - f_a) / k)
 
 
 def _check_scores(g: Grid, scores: ScoreField | None) -> None:
@@ -113,6 +113,21 @@ def _neighbour_index(length: int) -> np.ndarray:
     return _frozen(np.stack(neighbour_field(agents)).reshape(-1))
 
 
+_draws = threading.local()
+
+
+def _draw_rows(rng: np.random.Generator, length: int) -> np.ndarray:
+    """One ``rng.random((Z, 3))`` draw as contiguous (mutation, neighbour, acceptance)
+    rows, in this thread's two buffers for this L: overwritten by its next call."""
+    buffers = getattr(_draws, "buffers", None)
+    if buffers is None or buffers[1].shape[1] != length:
+        buffers = _draws.buffers = (np.empty((length * length, 3)), np.empty((3, length, length)))
+    raw, rows = buffers
+    rng.random(out=raw)  # the stream of rng.random((Z, 3))
+    np.copyto(rows, raw.T.reshape(3, length, length))
+    return rows
+
+
 def step_fermi(
     g: Grid,
     scores: ScoreField | None,
@@ -122,8 +137,9 @@ def step_fermi(
 ) -> Grid:
     """Synchronous Fermi update from a frozen copy of (g, scores).
 
-    Randomness: one ``rng.random((Z, 3))`` call, i.e. three uniforms per agent
-    in row-major agent order, used as (mutation, neighbour choice, acceptance).
+    Randomness: one ``rng.random(out=...)`` call on a (Z, 3) array, the stream
+    of ``rng.random((Z, 3))``, i.e. three uniforms per agent in row-major
+    agent order, used as (mutation, neighbour choice, acceptance).
     Per agent i:
 
     * mutation: if u_m < mu the agent's next strategy is drawn uniformly from
@@ -147,8 +163,7 @@ def step_fermi(
         _check_scores(g, scores)
     if accept is not None and np.size(accept) != 100:
         raise ValueError(f"accept must hold 100 entries, got {np.size(accept)}")
-    # One contiguous row per use, so no pass below reads the strided draws.
-    u_mut, u_nbr, u_acc = rng.random((g.size, 3)).T.reshape(3, length, length).copy()
+    u_mut, u_nbr, u_acc = _draw_rows(rng, length)
 
     nbr_code = choose_neighbour(u_nbr, neighbour_field(g.code))
     nbr_strat = (nbr_code >= 5).view(np.uint8)  # a code >= 5 is a cooperator
@@ -169,7 +184,14 @@ def step_fermi(
         gap = scores.take(_neighbour_index(length).take(nbr))
         gap -= scores.take(differ)
         gap /= rule.K
-        copied = differ[u_acc.take(differ) < expit(gap, out=gap)]
+        u = u_acc.take(differ)
+        with np.errstate(over="ignore"):
+            accept = 1.0 / (1.0 + np.exp(-gap))
+        # np.exp is within a few ulps of libm's, so only a draw this close to
+        # p can be decided differently; those take the exact logistic.
+        for i in np.flatnonzero(abs(u - accept) < 2.0**-40):
+            accept[i] = logistic(gap[i])
+        copied = differ[u < accept]
         next_cells = g.cells.copy()
         next_cells.put(copied, nbr_strat.take(copied))
 

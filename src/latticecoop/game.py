@@ -8,11 +8,11 @@ base score is the sum of the four payoffs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .grid import Grid, Strategy, check_field_types
 
@@ -42,6 +42,15 @@ class PayoffParams:
             raise ValueError(
                 f"punishment must satisfy 0 <= P < {REWARD}, got {self.punishment}"
             )
+
+
+def logistic(x: float) -> float:
+    """The Fermi logistic ``1 / (1 + exp(-x))`` with libm's ``exp``, 0.0 where
+    ``exp(-x)`` overflows: bit for bit the reference ``expit``."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def pair_payoff(me: Strategy, other: Strategy, params: PayoffParams) -> float:
@@ -87,17 +96,15 @@ def rank_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
 @lru_cache(maxsize=256)
 def acceptance_table(params: PayoffParams, theta: float, n_c: int, k: float) -> np.ndarray:
     """Fermi acceptance by the codes of a cell and its chosen neighbour: entry
-    ``10 * own + nbr`` is ``expit((table[nbr] - table[own]) / k)`` for
+    ``10 * own + nbr`` is ``logistic((table[nbr] - table[own]) / k)`` for
     ``table = score_table(params, theta, n_c)``.
 
     The same float operations, in the same order, as the Fermi step on
     ``base + surplus`` scores (subtract, divide by ``k``, logistic), so each
     entry equals the probability it computes for such a pair bit for bit.
     """
-    table = score_table(params, theta, n_c)
-    gap = table - table[:, None]  # row own, column nbr
-    gap /= k
-    accept = expit(gap).reshape(-1)
+    table = score_table(params, theta, n_c).tolist()
+    accept = np.array([logistic((nbr - own) / k) for own in table for nbr in table])
     accept.setflags(write=False)
     return accept
 

@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecoop.analysis import lone_defector_grid
+from latticecoop import dynamics
 from latticecoop.dynamics import (
     Deterministic,
     Fermi,
@@ -324,16 +331,17 @@ def test_step_fermi_rejects_bad_inputs():
 
 
 class FixedDraws:
-    """Stands in for a Generator whose one ``random((Z, 3))`` call returns ``draws``."""
+    """Stands in for a Generator whose one ``random(out=...)`` call fills a
+    (Z, 3) array with ``draws``."""
 
     def __init__(self, draws):
         self.draws = draws
         self.calls = 0
 
-    def random(self, shape):
-        assert shape == self.draws.shape
+    def random(self, out):
+        assert out.shape == self.draws.shape
         self.calls += 1
-        return self.draws.copy()
+        out[...] = self.draws
 
 
 def boundary_draws(g, scores, k, mu):
@@ -379,6 +387,88 @@ def test_step_fermi_at_draw_boundaries_matches_replay(side, mu, b):
             g, scores, 0.3, mu, draws=draws
         )
         assert rng.calls == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme", [NebI(eps=0.5), NebII(eps=0.5)])
+@pytest.mark.parametrize("k", [1e-3, 1e-300, 0.3])
+def test_step_fermi_float_path_beyond_exp_overflow_matches_replay(scheme, k):
+    # at a small K the gaps pass exp's overflow edge (+-709.78) both ways,
+    # which must saturate to 0 or 1 without a RuntimeWarning
+    payoff = PayoffParams(b=1.8)
+    rule = Fermi(K=k, mu=0.02)
+    for seed in range(30):
+        g = Grid(np.random.default_rng(seed).integers(0, 2, (7, 7), dtype=np.uint8))
+        scores = compute_scores(g, payoff) + apply(scheme, g, payoff).surplus
+        got = step_fermi(g, scores, rule, np.random.default_rng(seed))
+        assert got == step_fermi_bruteforce(g, scores, k, 0.02, seed), seed
+
+
+def neb_ii_fermi_trajectory(side, seed, generations=30):
+    """The grids of ``generations`` neb_ii Fermi steps from a seeded random grid."""
+    payoff = PayoffParams(b=1.8)
+    rule = Fermi(K=0.3, mu=0.01)
+    rng = np.random.default_rng(seed)
+    g = Grid(rng.integers(0, 2, (side, side), dtype=np.uint8))
+    trajectory = []
+    for _ in range(generations):
+        scores = compute_scores(g, payoff) + apply(NebII(eps=0.5), g, payoff).surplus
+        g = step_fermi(g, scores, rule, rng)
+        trajectory.append(g)
+    return trajectory
+
+
+def test_step_fermi_draw_buffers_are_per_thread():
+    jobs = [(side, seed) for seed in range(4) for side in (20, 33)]
+    serial = [neb_ii_fermi_trajectory(*job) for job in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def threaded(job):
+        start.wait()
+        return neb_ii_fermi_trajectory(*job)
+
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        assert list(pool.map(threaded, jobs)) == serial
+
+
+def test_step_fermi_draw_buffers_follow_side_length_and_stay_inside():
+    # 5 -> 7 -> 5 in one thread gives the steps of fresh generators, and no
+    # returned grid shares memory with the reused draw buffers
+    payoff = PayoffParams(b=1.8)
+    rule = Fermi(K=0.3, mu=0.02)
+    for seed, side in enumerate((5, 7, 5)):
+        g = Grid(np.random.default_rng(seed).integers(0, 2, (side, side), dtype=np.uint8))
+        scores = compute_scores(g, payoff) + apply(NebII(eps=0.5), g, payoff).surplus
+        accept = acceptance_table(payoff, 0.0, 4, 0.3)
+        for got, expected in (
+            (step_fermi(g, scores, rule, np.random.default_rng(seed)),
+             step_fermi_bruteforce(g, scores, 0.3, 0.02, seed)),
+            (step_fermi(g, None, rule, np.random.default_rng(seed), accept),
+             step_fermi_bruteforce(g, compute_scores(g, payoff), 0.3, 0.02, seed)),
+        ):
+            assert got == expected
+            buffers = dynamics._draws.buffers
+            assert not any(np.shares_memory(got.cells, buffer) for buffer in buffers)
+
+
+def test_fermi_steps_in_a_fresh_process_import_no_scipy():
+    script = """
+import sys
+import numpy as np
+import latticecoop as lc
+g = lc.Grid(np.random.default_rng(0).integers(0, 2, (10, 10), dtype=np.uint8))
+for scheme in (lc.Pop(p_c=0.9, theta=3.0), lc.NebII(eps=0.5)):  # table path, float path
+    lc.step_generation(g, lc.PayoffParams(b=1.8), scheme, lc.Fermi(K=0.3, mu=0.01),
+                       np.random.default_rng(0))
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_step_dispatch():

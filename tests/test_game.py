@@ -10,6 +10,7 @@ from latticecoop.game import (
     acceptance_table,
     by_code,
     compute_scores,
+    logistic,
     pair_payoff,
     rank_table,
     score_table,
@@ -197,3 +198,23 @@ def test_acceptance_table_equals_fermi_probability_bit_for_bit(b, punishment, k)
             expected = [fermi_probability(table[own], table[nbr], k)
                         for own in range(10) for nbr in range(10)]
             assert accept.tobytes() == np.array(expected).tobytes(), (theta, n_c)
+
+
+def test_logistic_equals_scipy_expit_bit_for_bit():
+    expit = pytest.importorskip("scipy.special").expit
+    rng = np.random.default_rng(0)
+    patterns = rng.integers(0, 2**64 - 1, 200_000, dtype=np.uint64, endpoint=True).view(np.float64)
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+               np.nextafter(tiny, 0), -np.nextafter(tiny, 0)]
+    x = np.concatenate((
+        patterns[np.isfinite(patterns)],
+        rng.normal(0.0, 20.0, 100_000),
+        np.linspace(-760.0, 760.0, 200_001),  # across exp's overflow edge at +-709.78
+        special,
+    ))
+    got = np.array([logistic(v) for v in x.tolist()])
+    with np.errstate(all="ignore"):
+        expected = expit(x)
+    mismatches = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+    assert mismatches.size == 0, x[mismatches[:10]]
