@@ -16,6 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from latticecoop.analysis import write_sweep_csv
+from latticecoop.cli import positive_int, staged_outputs
 from latticecoop.dynamics import Deterministic
 from latticecoop.engine import RunConfig
 from latticecoop.game import PayoffParams
@@ -23,16 +24,16 @@ from latticecoop.interference import NoInterference
 from latticecoop.sweep import SweepSpec, run_sweep, write_metadata_json
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/heatmaps", help="output directory")
     parser.add_argument("--side-length", type=int, default=100)
     parser.add_argument("--b", type=float, default=1.8)
-    parser.add_argument("--replicates", type=int, default=5)
+    parser.add_argument("--replicates", type=positive_int, default=5)
     parser.add_argument("--base-seed", type=int, default=2024)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=positive_int, default=1)
     parser.add_argument("--full", action="store_true", help="dense full-resolution grid")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.full:
         thetas = tuple(0.5 * k for k in range(1, 17))  # 0.5 .. 8.0
@@ -43,36 +44,42 @@ def main() -> int:
         pop_thresholds = (0.2, 0.4, 0.6, 0.8, 0.9, 1.0)
         replicates = args.replicates
 
-    base = RunConfig(
-        side_length=args.side_length,
-        payoff=PayoffParams(b=args.b),
-        scheme=NoInterference(),
-        rule=Deterministic(),
-        seed=args.base_seed,
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        base = RunConfig(
+            side_length=args.side_length,
+            payoff=PayoffParams(b=args.b),
+            scheme=NoInterference(),
+            rule=Deterministic(),
+            seed=args.base_seed,
+        )
+        specs = {
+            kind: SweepSpec(
+                base=base,
+                scheme_kind=kind,
+                theta_values=thetas,
+                threshold_values=thresholds,
+                replicates=replicates,
+            )
+            for kind, thresholds in (("pop", pop_thresholds), ("neb", (0.0, 1.0, 2.0, 3.0, 4.0)))
+        }
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    for kind, thresholds in (("pop", pop_thresholds), ("neb", (0.0, 1.0, 2.0, 3.0, 4.0))):
-        spec = SweepSpec(
-            base=base,
-            scheme_kind=kind,
-            theta_values=thetas,
-            threshold_values=thresholds,
-            replicates=replicates,
-        )
-        t0 = time.perf_counter()
-        cells = run_sweep(
-            spec,
-            workers=args.workers,
-            progress=lambda done, total, cell, kind=kind: print(
-                f"{kind} cell {done}/{total}: theta={cell.theta} "
-                f"threshold={cell.threshold} coop={cell.mean_coop_fraction:.3f}"
-            ),
-        )
-        write_sweep_csv(out_dir / f"{kind}_sweep.csv", cells)
-        write_metadata_json(out_dir / f"{kind}_sweep.metadata.json", spec)
-        print(f"{kind}: {len(cells)} cells in {time.perf_counter() - t0:.1f}s")
+    out_dir = Path(args.out)
+    with staged_outputs(out_dir) as stage:
+        for kind, spec in specs.items():
+            t0 = time.perf_counter()
+            cells = run_sweep(
+                spec,
+                workers=args.workers,
+                progress=lambda done, total, cell, kind=kind: print(
+                    f"{kind} cell {done}/{total}: theta={cell.theta} "
+                    f"threshold={cell.threshold} coop={cell.mean_coop_fraction:.3f}"
+                ),
+            )
+            write_sweep_csv(stage(f"{kind}_sweep.csv"), cells)
+            write_metadata_json(stage(f"{kind}_sweep.metadata.json"), spec)
+            print(f"{kind}: {len(cells)} cells in {time.perf_counter() - t0:.1f}s")
     print(f"tables written to {out_dir}")
     return 0
 

@@ -13,47 +13,56 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from latticecoop.cli import positive_int, staged_outputs
 from latticecoop.dynamics import Fermi
 from latticecoop.engine import RunConfig, run_replicates, write_metrics_csv
 from latticecoop.game import PayoffParams
 from latticecoop.interference import Neb, Pop
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/stochastic")
     parser.add_argument("--side-length", type=int, default=100)
     parser.add_argument("--b", type=float, default=1.8)
     parser.add_argument("--theta", type=float, default=3.0)
     parser.add_argument("--k", type=float, default=0.3)
-    parser.add_argument("--replicates", type=int, default=5)
+    parser.add_argument("--replicates", type=positive_int, default=5)
     parser.add_argument("--base-seed", type=int, default=2024)
-    parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args()
+    parser.add_argument("--workers", type=positive_int, default=1)
+    args = parser.parse_args(argv)
+
+    try:
+        pay = PayoffParams(b=args.b)
+        rule = Fermi(K=args.k, mu=0.0)
+        schemes = {"neb3": Neb(n_c=3, theta=args.theta), "pop_full": Pop(p_c=1.0, theta=args.theta)}
+        configs = {
+            name: RunConfig(
+                side_length=args.side_length,
+                payoff=pay,
+                scheme=scheme,
+                rule=rule,
+                seed=args.base_seed,
+            )
+            for name, scheme in schemes.items()
+        }
+    except ValueError as exc:
+        parser.error(str(exc))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pay = PayoffParams(b=args.b)
-    rule = Fermi(K=args.k, mu=0.0)
-
-    for name, scheme in (
-        ("neb3", Neb(n_c=3, theta=args.theta)),
-        ("pop_full", Pop(p_c=1.0, theta=args.theta)),
-    ):
-        cfg = RunConfig(
-            side_length=args.side_length, payoff=pay, scheme=scheme, rule=rule, seed=args.base_seed
-        )
-        results = run_replicates(cfg, args.replicates, workers=args.workers)
-        write_metrics_csv(
-            out_dir / f"{name}_metrics.csv",
-            [(f"rep{i:03d}", r) for i, r in enumerate(results)],
-        )
-        costs = [r.total_cost for r in results]
-        print(
-            f"{name}: mean total cost {sum(costs) / len(costs):.3g} over "
-            f"{args.replicates} replicates "
-            f"({sum(r.termination.value == 'homogeneous_C' for r in results)} reached full cooperation)"
-        )
+    with staged_outputs(out_dir) as stage:
+        for name, cfg in configs.items():
+            results = run_replicates(cfg, args.replicates, workers=args.workers)
+            write_metrics_csv(
+                stage(f"{name}_metrics.csv"),
+                [(f"rep{i:03d}", r) for i, r in enumerate(results)],
+            )
+            costs = [r.total_cost for r in results]
+            full = sum(r.termination.value == "homogeneous_C" for r in results)
+            print(
+                f"{name}: mean total cost {sum(costs) / len(costs):.3g} over "
+                f"{args.replicates} replicates ({full} reached full cooperation)"
+            )
     print(f"series written to {out_dir}")
     return 0
 

@@ -80,26 +80,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _staged(config: ExperimentConfig):
-    """Yield ``stage(name) -> path`` for the command's outputs in its run directory.
+def staged_outputs(directory: Path):
+    """Yield ``stage(name) -> path`` for outputs in ``directory``, made if missing.
 
     Each output is written as ``<name>.incomplete`` and all are renamed to
-    their final names only once the block completes, so an aborted command
-    leaves nothing that looks final. ``config.yaml`` is staged first, so an
-    unwritable output directory fails before any run starts.
+    their final names only once the block completes, so an aborted block
+    leaves nothing that looks final.
     """
-    run_dir = Path(config.output_dir) / f"{config.label}-{config_hash(config)}"
-    run_dir.mkdir(parents=True, exist_ok=True)
+    directory.mkdir(parents=True, exist_ok=True)
     staged: list[Path] = []
 
     def stage(name: str) -> Path:
-        staged.append(run_dir / f"{name}.incomplete")
+        staged.append(directory / f"{name}.incomplete")
         return staged[-1]
 
-    stage("config.yaml").write_text(emit_config(config), encoding="utf-8")
     yield stage
     for path in staged:
         path.replace(path.with_suffix(""))
+
+
+@contextmanager
+def _staged(config: ExperimentConfig):
+    """``staged_outputs`` in the command's run directory, ``config.yaml`` staged
+    first, so an unwritable output directory fails before any run starts."""
+    run_dir = Path(config.output_dir) / f"{config.label}-{config_hash(config)}"
+    with staged_outputs(run_dir) as stage:
+        stage("config.yaml").write_text(emit_config(config), encoding="utf-8")
+        yield stage
     print(f"outputs written to {run_dir}")
 
 

@@ -152,13 +152,13 @@ def step_fermi(
     When every score follows from the cell's code ``5 * strategy + k``, pass
     ``accept = game.acceptance_table(...)`` for those scores and K instead of
     ``scores``: the probability is then looked up by the pair of codes, with
-    the same result. At least one of the two is required; ``scores``, when
+    the same result. Exactly one of the two is required; ``scores``, when
     given, must be shaped like the grid and ``accept`` must hold 100 entries.
     A ValueError names the argument that does not fit.
     """
     length = g.side_length
-    if accept is None and scores is None:
-        raise ValueError("step_fermi needs scores or an acceptance table (accept)")
+    if (accept is None) == (scores is None):
+        raise ValueError("step_fermi takes one of scores and an acceptance table (accept)")
     if scores is not None:
         _check_scores(g, scores)
     if accept is not None and np.size(accept) != 100:
@@ -209,8 +209,11 @@ def step(
     rng: np.random.Generator | None,
     accept: np.ndarray | None = None,
 ) -> Grid:
-    """Advance one generation under the configured update rule (``accept``: see ``step_fermi``)."""
+    """Advance one generation under the configured update rule (``accept``, for the
+    Fermi rule only: see ``step_fermi``)."""
     if isinstance(rule, Deterministic):
+        if accept is not None:
+            raise ValueError("the deterministic rule takes scores, not accept")
         return step_deterministic(g, scores)
     if isinstance(rule, Fermi):
         if rng is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
@@ -19,23 +19,6 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 MIN_SIDE_LENGTH = 3  # below this the four neighbours are not distinct
-
-
-class cached_field:
-    """``functools.cached_property`` without its lock: the first access stores the
-    value in the instance ``__dict__``, which then shadows this non-data
-    descriptor (what ``cached_property`` does from Python 3.12; 3.10 and 3.11
-    take an RLock on each first access)."""
-
-    def __init__(self, compute) -> None:
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.compute.__name__] = self.compute(instance)
-        return value
 
 
 class Strategy(IntEnum):
@@ -51,10 +34,17 @@ class Grid:
 
     ``cells`` is a row-major (L, L) uint8 array with values in {0, 1}
     (``Strategy.D`` / ``Strategy.C``). The array is copied and frozen on
-    construction, so grids can be shared freely across workers.
+    construction, so grids can be shared freely across workers; a pickled
+    grid carries its cells alone and is checked and frozen again on arrival.
+
+    Set with the cells, read-only: ``code``, per cell ``5 * strategy + k``
+    (uint8, 0..9) with k its number of cooperating neighbours, all its base
+    score depends on; and ``coop_count``, the number of cooperators x_C.
     """
 
     cells: np.ndarray
+    code: np.ndarray = field(init=False, repr=False)
+    coop_count: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cells)
@@ -65,9 +55,7 @@ class Grid:
         unsigned = cells.dtype in (np.uint8, np.bool_)  # no negatives: max() <= 1 suffices
         if not (cells.max() <= 1 if unsigned else np.isin(cells, (0, 1)).all()):
             raise ValueError("grid cells must contain only 0 (D) and 1 (C)")
-        frozen = np.ascontiguousarray(cells, dtype=np.uint8).copy()
-        frozen.setflags(write=False)
-        object.__setattr__(self, "cells", frozen)
+        self._derive(np.ascontiguousarray(cells, dtype=np.uint8).copy())
 
     @classmethod
     def _owning(cls, cells: np.ndarray) -> Grid:
@@ -77,22 +65,20 @@ class Grid:
         that nothing else references: the update rules' next generation.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "cells", _frozen(np.ascontiguousarray(cells)))
+        g._derive(np.ascontiguousarray(cells))
         return g
 
-    @cached_field
-    def code(self) -> np.ndarray:
-        """Per cell, ``5 * strategy + k`` (uint8, 0..9), with k its number of
-        cooperating neighbours: all its base score depends on."""
-        code = self.cells * np.uint8(5)
-        for neighbour in neighbour_field(self.cells):
+    def _derive(self, cells: np.ndarray) -> None:
+        """Freeze ``cells`` and set them with ``code`` and ``coop_count``."""
+        code = cells * np.uint8(5)
+        for neighbour in neighbour_field(cells):
             code += neighbour
-        return _frozen(code)
+        object.__setattr__(self, "cells", _frozen(cells))
+        object.__setattr__(self, "code", _frozen(code))
+        object.__setattr__(self, "coop_count", int(np.count_nonzero(cells)))
 
-    @cached_field
-    def coop_count(self) -> int:
-        """Number of cooperators x_C, counted once per grid."""
-        return int(np.count_nonzero(self.cells))
+    def __reduce__(self):
+        return Grid, (self.cells,)
 
     @property
     def side_length(self) -> int:

@@ -36,7 +36,6 @@ from .grid import (
     Grid,
     Strategy,
     _frozen,
-    cached_field,
     check_field_types,
     coop_count,
     first_max,
@@ -125,7 +124,7 @@ class InvestmentOutcome:
     ``generation_cost`` equals ``float(surplus.sum())`` bit for bit. Flat
     schemes (none, pop, neb) pay one amount ``theta`` to each cooperator with
     at most ``n_c`` cooperating neighbours, so a cell's surplus follows from
-    its code: their ``surplus`` is built from the grid only when it is read,
+    its code: their ``surplus`` is built from the grid each time it is read,
     and their cost comes from the number of paid cooperators where that is
     exact (see ``flat``). The others leave ``n_c`` None.
     """
@@ -136,7 +135,7 @@ class InvestmentOutcome:
     _grid: Grid | None = field(default=None, repr=False)
     _surplus: np.ndarray | None = field(default=None, repr=False)
 
-    @cached_field
+    @property
     def surplus(self) -> np.ndarray:
         """Per-agent surplus, a read-only float64 array shaped like the grid."""
         if self._surplus is None:

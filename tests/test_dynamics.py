@@ -325,6 +325,13 @@ def test_step_fermi_rejects_bad_inputs():
             step_fermi(g, np.zeros(shape), rule, rng, accept)
     with pytest.raises(ValueError, match="accept"):
         step_fermi(g, None, rule, rng)
+    # one score source: given both, neither wins silently
+    scores = compute_scores(g, payoff)
+    for call in (step_fermi, step):
+        with pytest.raises(ValueError, match="scores.*accept"):
+            call(g, scores, rule, rng, accept)
+    with pytest.raises(ValueError, match="scores.*accept"):
+        step(g, scores, Deterministic(), None, accept)
     for size in (99, 101, 10):
         with pytest.raises(ValueError, match="accept"):
             step_fermi(g, None, rule, rng, np.full(size, 0.5))

@@ -15,6 +15,7 @@ from latticecoop.engine import (
     is_homogeneous,
     replicate_configs,
     run,
+    run_many,
     run_replicates,
     step_generation,
     write_metrics_csv,
@@ -198,6 +199,25 @@ def test_worker_count_does_not_change_results():
     serial = run_replicates(replace(cfg, seed=11), 3, workers=1)
     parallel = run_replicates(replace(cfg, seed=11), 3, workers=2)
     assert serial == parallel
+
+
+def test_pooled_final_grids_come_back_equal_and_read_only():
+    # each result crosses the process boundary pickled; its grid is frozen again
+    configs = [
+        config(rule=Fermi(K=0.3, mu=0.01), generations=10, measure_window=5, seed=3),
+        config(scheme=Neb(n_c=3, theta=5.1), generations=10, measure_window=5, seed=4),
+        config(scheme=NebII(eps=0.5), generations=10, measure_window=5, seed=5),
+    ]
+    serial = list(run_many(configs, workers=1))
+    pooled = list(run_many(configs, workers=2))
+    for got, want in zip(pooled, serial, strict=True):
+        assert got.final_grid == want.final_grid
+        np.testing.assert_array_equal(got.final_grid.code, want.final_grid.code)
+        assert got.final_grid.coop_count == want.final_grid.coop_count
+        for array in (got.final_grid.cells, got.final_grid.code):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] ^= 1
 
 
 def test_derive_seed_is_stable_and_spread():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -261,6 +264,38 @@ def test_cached_fields_are_kept_and_read_only(g, seed):
             assert getattr(grid, name) is first
         assert not grid.code.flags.writeable
         assert grid.coop_count == int(grid.cells.sum())
+
+
+@settings(max_examples=50)
+@given(grids(), st.integers(0, 2**32 - 1))
+def test_grid_crosses_pickle_and_copy_as_a_frozen_equal_value(g, seed):
+    # on a checked grid and on one an update rule built: a pickled grid carries
+    # its cells alone and is checked, frozen and derived again on arrival
+    stepped = step_fermi(
+        g, compute_scores(g, PayoffParams(b=1.8)), Fermi(K=0.1, mu=0.3),
+        np.random.default_rng(seed),
+    )
+    for grid in (g, stepped):
+        for again in (pickle.loads(pickle.dumps(grid)), copy.copy(grid), copy.deepcopy(grid)):
+            assert again == grid
+            assert not again.cells.flags.writeable and not again.code.flags.writeable
+            np.testing.assert_array_equal(again.code, grid.code)
+            assert again.coop_count == grid.coop_count
+            with pytest.raises(ValueError, match="read-only"):
+                again.cells[0, 0] ^= 1
+
+
+def test_pickled_grid_carries_its_cells_alone_and_is_checked_on_arrival():
+    g = random_grid(5, rng=np.random.default_rng(0))
+    func, args = g.__reduce__()
+    assert func is Grid and len(args) == 1 and args[0] is g.cells
+
+    class Forged:  # pickles as a Grid over cells no Grid accepts
+        def __reduce__(self):
+            return Grid, (np.full((3, 3), 2, dtype=np.uint8),)
+
+    with pytest.raises(ValueError, match="only 0"):
+        pickle.loads(pickle.dumps(Forged()))
 
 
 @settings(max_examples=100)
