@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -247,6 +246,7 @@ def run_many(configs: Sequence[RunConfig], workers: int = 1) -> Iterator[RunResu
     if workers <= 1 or len(configs) <= 1:
         yield from map(run, configs)
         return
+    from concurrent.futures import ProcessPoolExecutor  # ~20 ms of imports; serial use skips them
     with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
         yield from pool.map(run, configs)
 

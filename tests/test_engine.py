@@ -1,5 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +222,40 @@ def test_pooled_final_grids_come_back_equal_and_read_only():
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] ^= 1
+
+
+POOL_IMPORT_CHILD = """
+import sys
+import latticecoop, latticecoop.cli, latticecoop.config
+from latticecoop import Deterministic, Fermi, Neb, NebII, PayoffParams, RunConfig
+from latticecoop.engine import run_many
+
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("concurrent", "multiprocessing"))
+assert not loaded, f"importing latticecoop loaded {loaded}"
+pay = PayoffParams(b=1.8)
+configs = [
+    RunConfig(side_length=5, payoff=pay, scheme=Neb(n_c=3, theta=5.1), rule=Deterministic(),
+              generations=5, measure_window=3, seed=1),
+    RunConfig(side_length=5, payoff=pay, scheme=NebII(eps=0.5), rule=Fermi(K=0.3, mu=0.01),
+              generations=5, measure_window=3, seed=2),
+    RunConfig(side_length=5, payoff=pay, scheme=Neb(n_c=4, theta=5.3), rule=Fermi(K=0.3),
+              generations=5, measure_window=3, seed=3),
+]
+serial = list(run_many(configs, workers=1))
+assert "concurrent.futures.process" not in sys.modules, "a serial batch loaded the pool"
+assert list(run_many(configs, workers=2)) == serial
+assert "concurrent.futures.process" in sys.modules, "a 2-worker batch did not use the pool"
+"""
+
+
+def test_pool_is_imported_only_when_a_batch_runs_on_it():
+    # A fresh interpreter: pytest's own process already holds concurrent.futures.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", POOL_IMPORT_CHILD],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_derive_seed_is_stable_and_spread():
