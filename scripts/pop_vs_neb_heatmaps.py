@@ -15,13 +15,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from latticecoop.analysis import write_sweep_csv
 from latticecoop.cli import positive_int, staged_outputs
 from latticecoop.dynamics import Deterministic
 from latticecoop.engine import RunConfig
 from latticecoop.game import PayoffParams
 from latticecoop.interference import NoInterference
-from latticecoop.sweep import SweepSpec, run_sweep, write_metadata_json
+from latticecoop.sweep import SweepSpec, write_sweep
 
 
 def main(argv=None) -> int:
@@ -69,16 +68,16 @@ def main(argv=None) -> int:
     with staged_outputs(out_dir) as stage:
         for kind, spec in specs.items():
             t0 = time.perf_counter()
-            cells = run_sweep(
+            cells = write_sweep(
                 spec,
+                stage(f"{kind}_sweep.metadata.json"),
+                stage(f"{kind}_sweep.csv"),
                 workers=args.workers,
                 progress=lambda done, total, cell, kind=kind: print(
                     f"{kind} cell {done}/{total}: theta={cell.theta} "
                     f"threshold={cell.threshold} coop={cell.mean_coop_fraction:.3f}"
                 ),
             )
-            write_sweep_csv(stage(f"{kind}_sweep.csv"), cells)
-            write_metadata_json(stage(f"{kind}_sweep.metadata.json"), spec)
             print(f"{kind}: {len(cells)} cells in {time.perf_counter() - t0:.1f}s")
     print(f"tables written to {out_dir}")
     return 0

@@ -11,12 +11,11 @@ simulations, and aggregates replicate results into sweep-table cells.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -211,34 +210,3 @@ def cost_comparison(
         (label, float(np.mean([r.total_cost for r in islice(results, n)]))) for label in labels
     ]
 
-
-SWEEP_HEADER = (
-    "theta",
-    "threshold",
-    "mean_coop_fraction",
-    "stderr_coop",
-    "mean_total_cost",
-    "stderr_cost",
-    "n_replicates",
-)
-
-
-def sweep_row(cell: AggregateCell) -> tuple:
-    """One sweep-table row under SWEEP_HEADER; floats as repr, so they round-trip."""
-    return (
-        repr(cell.theta),
-        repr(cell.threshold),
-        repr(cell.mean_coop_fraction),
-        repr(cell.stderr_coop),
-        repr(cell.mean_total_cost),
-        repr(cell.stderr_cost),
-        cell.n_replicates,
-    )
-
-
-def write_sweep_csv(path, cells: Iterable[AggregateCell]) -> None:
-    """Sweep table CSV, one row per (theta, threshold) cell."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        writer.writerows(sweep_row(cell) for cell in cells)

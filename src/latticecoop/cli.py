@@ -9,14 +9,12 @@ identical data files.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import sweep  # called as sweep.<name>, so a wrapped sweep.run_sweep is seen
-from .analysis import SWEEP_HEADER, sweep_row, verify_thresholds
+from .analysis import verify_thresholds
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -28,6 +26,7 @@ from .config import (
 )
 from .engine import run_replicates, write_metrics_csv
 from .grid import format_snapshot, parse_snapshot
+from .sweep import write_sweep
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -136,21 +135,15 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = with_overrides(load_config(args.config), seed=args.seed, output_dir=args.out)
     spec = config.sweep_spec()
+
+    def progress(done, total, cell):
+        print(
+            f"cell {done}/{total}: theta={cell.theta} threshold={cell.threshold} "
+            f"coop={cell.mean_coop_fraction} cost={cell.mean_total_cost}"
+        )
+
     with _staged(config) as stage:
-        sweep.write_metadata_json(stage("metadata.json"), spec)
-        with open(stage("sweep.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_HEADER)
-
-            def progress(done, total, cell):
-                writer.writerow(sweep_row(cell))
-                fh.flush()
-                print(
-                    f"cell {done}/{total}: theta={cell.theta} threshold={cell.threshold} "
-                    f"coop={cell.mean_coop_fraction} cost={cell.mean_total_cost}"
-                )
-
-            sweep.run_sweep(spec, workers=args.workers, progress=progress)
+        write_sweep(spec, stage("metadata.json"), stage("sweep.csv"), args.workers, progress)
     return EXIT_OK
 
 

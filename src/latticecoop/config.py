@@ -44,7 +44,8 @@ class ExperimentConfig:
     """Validated experiment: the run, its replicate count, output naming, sweep.
 
     In a sweep config ``run`` is the sweep's base run, whose scheme is a
-    placeholder: the cells' schemes come from ``sweep``.
+    placeholder: the cells' schemes come from ``sweep``. The sweep's base run
+    and replicate count are always set from ``run`` and ``replicates``.
     """
 
     run: RunConfig
@@ -57,6 +58,9 @@ class ExperimentConfig:
         check_field_types(self)
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if self.sweep is not None:
+            sweep = replace(self.sweep, base=self.run, replicates=self.replicates)
+            object.__setattr__(self, "sweep", sweep)
 
     def run_config(self) -> RunConfig:
         if self.sweep is not None:
@@ -117,7 +121,7 @@ class _Section:
 
 
 def _as_fraction(value: Any, z: int, where: str) -> Any:
-    """Population thresholds above 1 are counts in 1..Z, scaled here to fractions of Z.
+    """Population thresholds above 1 are counts in 2..Z, scaled here to fractions of Z.
 
     A list is scaled item by item. Fractions, and values that are not numbers,
     go to the dataclass unchanged.
@@ -127,7 +131,7 @@ def _as_fraction(value: Any, z: int, where: str) -> Any:
     if not (isinstance(value, (int, float)) and value > 1):
         return value
     if value > z or not float(value).is_integer():  # a huge int fails the first test
-        raise ConfigError(f"{where} count form must be an integer in 1..Z={z}, got {value}")
+        raise ConfigError(f"{where} count form must be an integer in 2..Z={z}, got {value}")
     return value / z
 
 
@@ -286,8 +290,7 @@ def with_overrides(
             run = replace(config.run, seed=seed)
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from exc
-        sweep = None if config.sweep is None else replace(config.sweep, base=run)
-        config = replace(config, run=run, sweep=sweep)
+        config = replace(config, run=run)
     if output_dir is not None:
         config = replace(config, output_dir=output_dir)
     return config

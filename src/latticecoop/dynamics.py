@@ -104,10 +104,12 @@ def step_deterministic(g: Grid, scores: ScoreField) -> Grid:
     return Grid._owning(best)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _neighbour_index(length: int) -> np.ndarray:
     """Flat index of each agent's N, E, S, W neighbours: entry ``d * Z + i`` is
-    the neighbour in direction d of agent i, in the smallest unsigned dtype."""
+    the neighbour in direction d of agent i, in the smallest unsigned dtype.
+    Only the last L's index is kept, as ``_draw_rows`` keeps one L's buffers:
+    above L=256 it costs 16 bytes per agent."""
     z = length * length
     agents = np.arange(z, dtype=np.min_scalar_type(z - 1)).reshape(length, length)
     return _frozen(np.stack(neighbour_field(agents)).reshape(-1))

@@ -8,6 +8,7 @@ execution schedule produces the same table.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -159,3 +160,28 @@ def write_metadata_json(path, spec: SweepSpec) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(sweep_metadata(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_sweep(
+    spec: SweepSpec, metadata_path, table_path, workers: int = 1, progress=None
+) -> list[AggregateCell]:
+    """Run ``spec`` into a sweep table CSV whose columns are AggregateCell's fields.
+
+    The metadata sidecar is written first. Each cell's row is written and
+    flushed as ``run_sweep`` finishes it, before ``progress(done, total, cell)``
+    is called; every field is a float or an int, written by ``repr`` so it
+    round-trips.
+    """
+    write_metadata_json(metadata_path, spec)
+    columns = [f.name for f in fields(AggregateCell)]
+    with open(table_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+
+        def write_row(done, total, cell):
+            writer.writerow([repr(getattr(cell, name)) for name in columns])
+            fh.flush()
+            if progress is not None:
+                progress(done, total, cell)
+
+        return run_sweep(spec, workers, write_row)

@@ -14,7 +14,6 @@ from latticecoop.analysis import (
     microscopic_check,
     thresholds,
     verify_thresholds,
-    write_sweep_csv,
 )
 from latticecoop.dynamics import Deterministic, Fermi
 from latticecoop.engine import RunConfig, run_replicates
@@ -193,28 +192,3 @@ def test_cost_comparison_rejects_duplicate_labels():
     cfg = RunConfig(side_length=10, payoff=pay, scheme=Neb(n_c=3, theta=5.3), rule=Deterministic())
     with pytest.raises(ValueError):
         cost_comparison([("x", cfg), ("x", cfg)], n=1)
-
-
-def test_write_sweep_csv(tmp_path):
-    cell = aggregate(
-        run_replicates(
-            RunConfig(
-                side_length=10,
-                payoff=PayoffParams(b=1.8),
-                scheme=Pop(p_c=1.0, theta=4.3),
-                rule=Deterministic(),
-                seed=8,
-            ),
-            2,
-        ),
-        theta=4.3,
-        threshold=1.0,
-    )
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, [cell])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "theta,threshold,mean_coop_fraction,stderr_coop,mean_total_cost,stderr_cost,n_replicates"
-    fields = lines[1].split(",")
-    assert float(fields[0]) == 4.3
-    assert float(fields[2]) == cell.mean_coop_fraction
-    assert int(fields[6]) == 2

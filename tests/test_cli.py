@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from latticecoop import analysis
-from latticecoop.analysis import MicroOutcome, sweep_row
+from latticecoop.analysis import MicroOutcome
 from latticecoop.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from latticecoop.config import (
     ConfigError,
@@ -184,6 +185,36 @@ def test_pop_count_form_is_converted():
     assert cfg.run.scheme.p_c == 0.85
 
 
+@pytest.mark.parametrize("p_c, expected", [("1", 1.0), ("2", 0.02), ("100", 1.0)])
+def test_pop_count_form_starts_at_two(p_c, expected):
+    # 1 is the fraction 1.0; counts run from 2 to Z
+    cfg = parse_config_text(
+        f"model: {{side_length: 10, b: 1.8}}\nscheme: {{kind: pop, p_c: {p_c}, theta: 4.5}}\n"
+        "rule: {kind: deterministic}\n"
+    )
+    assert cfg.run.scheme.p_c == expected
+
+
+@pytest.mark.parametrize("p_c", ["1.5", "101"])
+def test_pop_count_form_outside_2_to_z_names_its_range(p_c):
+    with pytest.raises(ConfigError, match=r"p_c count form must be an integer in 2\.\.Z=100"):
+        parse_config_text(
+            f"model: {{side_length: 10, b: 1.8}}\nscheme: {{kind: pop, p_c: {p_c}, theta: 4.5}}\n"
+            "rule: {kind: deterministic}\n"
+        )
+
+
+def test_sweep_runs_the_base_run_and_replicates_of_its_config():
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "pop_sweep.yaml")
+    smaller = replace(config, run=replace(config.run, side_length=20))
+    assert config_hash(smaller) != config_hash(config)
+    assert smaller.sweep_spec().base == smaller.run
+    assert smaller.sweep_spec().base.side_length == 20
+    fewer = replace(config, replicates=2)
+    assert fewer.sweep_spec().replicates == 2
+    assert fewer.sweep_spec().base == config.run
+
+
 def test_config_hash_ignores_output_section(tmp_path):
     a = load_config(write_config(tmp_path, RUN_CONFIG))
     b = load_config(write_config(tmp_path, RUN_CONFIG.replace("label: smoke", "label: other")))
@@ -246,17 +277,18 @@ def test_cmd_run_failure_mid_write_leaves_no_final_file(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cmd_sweep_failure_mid_table_leaves_no_final_file(tmp_path, monkeypatch, workers):
-    import latticecoop.cli as cli_module
+    import latticecoop.sweep as sweep_module
 
-    rows = []
+    aggregate = sweep_module.aggregate
+    cells = []
 
-    def failing_row(cell):
-        if rows:
-            raise OSError("disk full")  # the second table row fails
-        rows.append(cell)
-        return sweep_row(cell)
+    def failing_aggregate(*args):
+        if cells:
+            raise OSError("disk full")  # the second cell fails
+        cells.append(aggregate(*args))
+        return cells[-1]
 
-    monkeypatch.setattr(cli_module, "sweep_row", failing_row)
+    monkeypatch.setattr(sweep_module, "aggregate", failing_aggregate)
     path = write_config(tmp_path, SWEEP_CONFIG)
     assert main(["sweep", "--config", str(path), "--workers", str(workers)]) == EXIT_IO
     (run_dir,) = run_dirs(tmp_path)

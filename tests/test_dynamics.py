@@ -289,6 +289,18 @@ def test_neighbour_index_matches_neighbours(side):
         assert tuple(int(index[d * z + i]) for d in range(4)) == neighbours(i, side)
 
 
+def test_neighbour_index_keeps_one_side_length():
+    # the float-score Fermi path builds it; only the last L's index stays cached
+    _neighbour_index.cache_clear()
+    rng = np.random.default_rng(5)
+    for side in (6, 7):
+        g = Grid(rng.integers(0, 2, (side, side), dtype=np.uint8))
+        step_fermi(g, compute_scores(g, PayoffParams(b=1.8)), Fermi(K=0.3), rng)
+    info = _neighbour_index.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (2, 1, 1)
+    assert _neighbour_index(7) is _neighbour_index(7)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     grids() | homogeneous_grids(),

@@ -179,8 +179,9 @@ def test_cli_data_file_digests(case, workers, tmp_path):
     assert cli_record(case, workers, tmp_path) == _load("cli.json")[case]
 
 
-def test_cost_comparison_digest():
-    assert cost_table_digest() == _load("cli.json")["cost_comparison"]
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cost_comparison_digest(workers):
+    assert cost_table_digest(workers) == _load("cli.json")["cost_comparison"]
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from latticecoop.dynamics import Deterministic
 from latticecoop.engine import RunConfig, derive_seed, run
 from latticecoop.game import PayoffParams
 from latticecoop.interference import Neb, NoInterference
-from latticecoop.sweep import SweepSpec, run_sweep, write_metadata_json
+from latticecoop.sweep import SweepSpec, run_sweep, write_metadata_json, write_sweep
 
 
 def base_config(**kw):
@@ -162,3 +163,31 @@ def test_metadata_sidecar(tmp_path):
     assert meta["base_seed"] == 77
     assert meta["run_config"]["side_length"] == 10
     assert "created_unix" in meta and "artifact_version" in meta
+
+
+def test_write_sweep(tmp_path):
+    s = spec()
+    metadata, table = tmp_path / "metadata.json", tmp_path / "sweep.csv"
+    on_disk = []
+
+    def progress(done, total, cell):
+        assert metadata.exists()  # the sidecar comes first
+        with open(table, newline="") as fh:
+            on_disk.append(list(csv.reader(fh)))  # this cell's row is already flushed
+
+    cells = write_sweep(s, metadata, table, workers=1, progress=progress)
+    assert cells == run_sweep(s)
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [
+        "theta", "threshold", "mean_coop_fraction", "stderr_coop",
+        "mean_total_cost", "stderr_cost", "n_replicates",
+    ]
+    assert on_disk == [rows[: 2 + i] for i in range(len(cells))]
+    for row, cell in zip(rows[1:], cells):
+        assert [float(value) for value in row[:6]] == [
+            cell.theta, cell.threshold, cell.mean_coop_fraction, cell.stderr_coop,
+            cell.mean_total_cost, cell.stderr_cost,
+        ]
+        assert row[6] == "2"
+    assert json.loads(metadata.read_text())["scheme_kind"] == "neb"
