@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .game import ScoreField, logistic
+from .game import ScoreField, by_code, logistic
 from .grid import (
     Grid,
     _frozen,
@@ -74,7 +74,9 @@ def _check_scores(g: Grid, scores: ScoreField | None) -> None:
         )
 
 
-def step_deterministic(g: Grid, scores: ScoreField) -> Grid:
+def step_deterministic(
+    g: Grid, scores: ScoreField | None = None, keys: np.ndarray | None = None
+) -> Grid:
     """Synchronous imitate-best update.
 
     Each agent adopts the strategy of the highest-scoring member of itself
@@ -82,21 +84,28 @@ def step_deterministic(g: Grid, scores: ScoreField) -> Grid:
     order. Pure function of (g, scores). Only the order of the scores
     matters: ``scores`` may be any per-cell array shaped like the grid, of any
     dtype, whose entries compare (``>`` and ``==``) as the scores do, such as
-    their ranks. Scores of another shape raise ValueError.
+    their ranks. They take a strict-``>`` running maximum in that order,
+    which keeps the first maximum.
 
-    uint8 ranks below 16 take the key path: a candidate's key is
-    ``rank << 4 | strategy`` and ``grid.first_max`` over self, N, E, S, W
-    picks the first candidate with the largest rank. Other scores, larger
-    uint8 ranks among them, take a strict-``>`` running maximum in the same
-    order, which keeps the first maximum too.
+    When every score follows from the cell's code ``5 * strategy + k``, pass
+    ``keys = game.key_table(...)`` for those scores instead of ``scores``:
+    each cell's key ``rank << 4 | strategy`` is then looked up by its code,
+    and ``grid.first_max`` over self, N, E, S, W picks the first candidate
+    with the largest rank, with the same result. Exactly one of the two is
+    required; ``scores``, when given, must be shaped like the grid and
+    ``keys`` must hold 10 entries. A ValueError names the argument that does
+    not fit.
     """
-    _check_scores(g, scores)
-    if scores.dtype == np.uint8 and scores.max() < 16:
-        keys = scores * np.uint8(16)  # on uint8 a multiply is far faster than <<
-        keys |= g.cells
-        best = first_max(keys, *neighbour_field(keys))
+    if (keys is None) == (scores is None):
+        raise ValueError("step_deterministic takes one of scores and a key table (keys)")
+    if keys is not None:
+        if np.size(keys) != 10:
+            raise ValueError(f"keys must hold 10 entries, got {np.size(keys)}")
+        best = by_code(g.code, keys)
+        first_max(best, *neighbour_field(best))
         best &= 1
         return Grid._owning(best)
+    _check_scores(g, scores)
     best_score, best = scores, g.cells
     for score, strategy in zip(neighbour_field(scores), neighbour_field(g.cells)):
         best = where_cells(score > best_score, strategy, best)
@@ -209,16 +218,15 @@ def step(
     scores: ScoreField | None,
     rule: UpdateRule,
     rng: np.random.Generator | None,
-    accept: np.ndarray | None = None,
+    table: np.ndarray | None = None,
 ) -> Grid:
-    """Advance one generation under the configured update rule (``accept``, for the
-    Fermi rule only: see ``step_fermi``)."""
+    """Advance one generation under the configured update rule. ``table`` is the
+    rule's by-code table in place of ``scores``: the keys of ``step_deterministic``
+    or the acceptance of ``step_fermi``."""
     if isinstance(rule, Deterministic):
-        if accept is not None:
-            raise ValueError("the deterministic rule takes scores, not accept")
-        return step_deterministic(g, scores)
+        return step_deterministic(g, scores, table)
     if isinstance(rule, Fermi):
         if rng is None:
             raise ValueError("the Fermi rule requires a random generator")
-        return step_fermi(g, scores, rule, rng, accept)
+        return step_fermi(g, scores, rule, rng, table)
     raise TypeError(f"unknown update rule: {rule!r}")

@@ -94,6 +94,21 @@ def rank_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
+def key_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
+    """uint8 keys ``rank << 4 | strategy`` by code, for the dense ranks of
+    ``rank_table(params, theta, n_c)``; codes 5..9 are cooperators.
+
+    A rank step of 16 outweighs ``grid.first_max``'s bonus plus strategy over
+    up to five candidates, so the first maximum of these keys is the first
+    candidate with the largest score.
+    """
+    keys = rank_table(params, theta, n_c) * np.uint8(16)
+    keys[5:] |= np.uint8(Strategy.C.value)
+    keys.setflags(write=False)
+    return keys
+
+
+@lru_cache(maxsize=256)
 def acceptance_table(params: PayoffParams, theta: float, n_c: int, k: float) -> np.ndarray:
     """Fermi acceptance by the codes of a cell and its chosen neighbour: entry
     ``10 * own + nbr`` is ``logistic((table[nbr] - table[own]) / k)`` for

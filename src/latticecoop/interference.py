@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .game import PayoffParams, by_code, rank_table, score_table
+from .game import PayoffParams, by_code, key_table, rank_table, score_table
 from .grid import (
     Grid,
     Strategy,
@@ -195,9 +195,9 @@ def apply_neb(g: Grid, scheme: Neb) -> InvestmentOutcome:
 
 # A cell's best neighbour under neb_i/neb_ii is the first of its N, E, S, W
 # neighbours, in that order, with the largest base score. Each cell's node
-# key is ``rank * 8 + strategy`` for the dense rank of its base score
-# (``game.rank_table``, at most 9), and ``grid.first_max`` over the N, E, S,
-# W keys finds the best neighbour: a rank step of 8 outweighs bonus plus
+# key is ``rank << 4 | strategy`` for the dense rank of its base score
+# (``game.key_table(payoff, 0.0, 4)``), and ``grid.first_max`` over the N, E,
+# S, W keys finds the best neighbour: a rank step of 16 outweighs bonus plus
 # strategy (<= 7) and equal ranks go by bonus. A cell's neb_i surplus is then
 # a function of its own code and the winner's rank and strategy, and its
 # neb_ii surplus of those and of the largest lure rank among its neighbours.
@@ -206,24 +206,16 @@ _CODES, _RANKS, _LURES = 10, 10, 11  # lure 0 is no luring target, r + 1 is rank
 _NEB_CACHE = 16  # (payoff, eps) pairs kept: each neb_ii entry is ~18 KB
 
 
-@lru_cache(maxsize=_NEB_CACHE)
-def _node_keys(payoff: PayoffParams) -> np.ndarray:
-    """uint8 ``rank * 8 + strategy`` by code, for the base scores' dense ranks."""
-    keys = rank_table(payoff, 0.0, 4) * np.uint8(8)
-    keys[5:] += np.uint8(Strategy.C.value)  # codes 5..9 are cooperators
-    return _frozen(keys)
-
-
 def _best_index(g: Grid, payoff: PayoffParams) -> np.ndarray:
     """Per cell, the uint8 index ``20 * code + 2 * rank + strategy`` of its own
     code and its best neighbour's base-score rank and strategy."""
-    keys = by_code(g.code, _node_keys(payoff))
+    keys = by_code(g.code, key_table(payoff, 0.0, 4))
     north, east, south, west = neighbour_field(keys)
     np.copyto(keys, north)  # the keys' buffer is free: the field holds its own copy
     best = first_max(keys, east, south, west)
     index = g.code * np.uint8(2 * _RANKS)
     index += best & 1  # the strategy
-    best >>= 3  # the rank
+    best >>= 4  # the rank
     index += best
     index += best
     return index

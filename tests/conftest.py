@@ -15,6 +15,11 @@ from latticecoop.grid import Grid, Strategy, neighbours
 from latticecoop.interference import Neb, NoInterference, Pop
 
 
+# At b=1.5 and b=2.0 an invested cooperator's score k + theta equals a
+# defector's k'*b for theta in {0.5, 1.0, 1.5, 2.0}.
+TIE_THETAS = (0.5, 1.0, 1.5, 2.0)
+
+
 def grids(min_side=3, max_side=8):
     """Hypothesis strategy for small random grids."""
 

@@ -27,6 +27,7 @@ from latticecoop.game import (
     acceptance_table,
     by_code,
     compute_scores,
+    key_table,
     rank_table,
     score_table,
 )
@@ -35,6 +36,7 @@ from latticecoop.interference import NebI, NebII, Pop, apply
 
 from conftest import (
     QUARTER_EDGES,
+    TIE_THETAS,
     grids,
     homogeneous_grids,
     step_deterministic_bruteforce,
@@ -151,7 +153,7 @@ def test_step_deterministic_matches_bruteforce(g, theta):
 @settings(max_examples=40)
 @given(grids(5, 12), st.integers(0, 2**32 - 1))
 def test_step_deterministic_on_ranks_up_to_19_matches_float_path(g, seed):
-    # ranks of 16 and more do not fit a key's high nibble and must not wrap.
+    # uint8 ranks of any size take the running maximum and must not wrap.
     # The 20 distinct scores ``table`` and ``table + theta``, indexed by
     # code + 10 * paid, give ranks 0..19.
     table = score_table(PayoffParams(b=1.9, punishment=0.15))
@@ -164,7 +166,7 @@ def test_step_deterministic_on_ranks_up_to_19_matches_float_path(g, seed):
     expected = step_deterministic_bruteforce(g, scores)
     assert step_deterministic(g, scores) == expected
     assert step_deterministic(g, cell_ranks) == expected
-    # halved (0..9, with new ties) they take the key path
+    # halved (0..9, with new ties) they still pick the first maximum
     halved = cell_ranks // 2
     assert step_deterministic(g, halved) == step_deterministic_bruteforce(g, halved)
 
@@ -186,12 +188,53 @@ def _assert_owns_fresh_cells(result: Grid, g: Grid, scores) -> None:
 @given(grids() | homogeneous_grids(), st.sampled_from(TIE_BS), st.floats(0.0, 6.0), st.integers(0, 4))
 def test_step_deterministic_results_own_read_only_cells(g, b, theta, n_c):
     payoff = PayoffParams(b=b)
-    ranks = by_code(g.code, rank_table(payoff, theta, n_c))  # key path: below 16
+    # uint8 ranks (below 16) and the same ranks raised by 16 take the running
+    # maximum like float scores
+    ranks = by_code(g.code, rank_table(payoff, theta, n_c))
     assert ranks.max() < 16
-    high = ranks + np.uint8(16)  # same order, running-maximum path
+    high = ranks + np.uint8(16)
     floats = by_code(g.code, score_table(payoff, theta, n_c))
     for scores in (ranks, high, floats):
         _assert_owns_fresh_cells(step_deterministic(g, scores), g, scores)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grids() | homogeneous_grids(),
+    st.sampled_from(TIE_BS),
+    st.sampled_from([0.0, *TIE_THETAS]) | st.floats(0.0, 6.0),
+    st.integers(0, 4),
+)
+def test_step_deterministic_on_key_table_matches_bruteforce(g, b, theta, n_c):
+    # looking each cell's key up by code must give the grid of the oracle on
+    # the scores those codes stand for, and a grid of its own
+    payoff = PayoffParams(b=b)
+    scores = by_code(g.code, score_table(payoff, theta, n_c))
+    keys = key_table(payoff, theta, n_c)
+    got = step_deterministic(g, keys=keys)
+    assert got == step_deterministic_bruteforce(g, scores)
+    _assert_owns_fresh_cells(got, g, keys)
+    assert step(g, None, Deterministic(), None, keys) == got
+
+
+def test_step_deterministic_rejects_bad_inputs():
+    g = lone_defector_grid(10)
+    payoff = PayoffParams(b=1.8)
+    scores = compute_scores(g, payoff)
+    keys = key_table(payoff, 0.0, 4)
+    # exactly one score source: given both or neither, the error names both
+    for given_scores, table in ((scores, keys), (None, None)):
+        with pytest.raises(ValueError, match="scores.*keys"):
+            step_deterministic(g, given_scores, table)
+        with pytest.raises(ValueError, match="scores.*keys"):
+            step(g, given_scores, Deterministic(), None, table)
+    for size in (9, 11, 100):
+        with pytest.raises(ValueError, match="keys must hold 10 entries"):
+            step_deterministic(g, keys=np.zeros(size, np.uint8))
+    # an acceptance table reaching the deterministic rule is not a key table
+    accept = acceptance_table(payoff, 0.0, 4, 0.3)
+    with pytest.raises(ValueError, match="keys must hold 10 entries, got 100"):
+        step(g, None, Deterministic(), None, accept)
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,7 +385,7 @@ def test_step_fermi_rejects_bad_inputs():
     for call in (step_fermi, step):
         with pytest.raises(ValueError, match="scores.*accept"):
             call(g, scores, rule, rng, accept)
-    with pytest.raises(ValueError, match="scores.*accept"):
+    with pytest.raises(ValueError, match="scores.*keys"):
         step(g, scores, Deterministic(), None, accept)
     for size in (99, 101, 10):
         with pytest.raises(ValueError, match="accept"):

@@ -29,6 +29,7 @@ from latticecoop.grid import Grid, Strategy, grid_hash, neighbours, random_grid
 from latticecoop.interference import Neb, NebI, NebII, NoInterference, Pop
 
 from conftest import (
+    TIE_THETAS,
     diamond_lattice,
     flat_paid_bruteforce,
     flat_surplus_bruteforce,
@@ -44,9 +45,8 @@ from conftest import (
 
 PAY = PayoffParams(b=1.8)
 # At b=1.5 and b=2.0 an invested cooperator's score k + theta equals a
-# defector's k'*b for theta in {0.5, 1.0, 1.5, 2.0}; b=1.8 is the reference.
+# defector's k'*b for theta in TIE_THETAS; b=1.8 is the reference.
 TIE_BS = (1.5, 1.8, 2.0)
-TIE_THETAS = (0.5, 1.0, 1.5, 2.0)
 
 
 def config(**kw):
@@ -323,7 +323,7 @@ def test_fermi_rule_never_reports_cycles():
 @settings(max_examples=60, deadline=None)
 @given(grids() | homogeneous_grids(), st.sampled_from(TIE_THETAS) | st.floats(0.01, 6.0))
 def test_rank_path_matches_float_scores(g, theta):
-    # none, pop and neb step on uint8 score ranks under imitate-best, and so
+    # none, pop and neb step on by-code keys under imitate-best, and so
     # does a homogeneous grid under any scheme (as none); the next grid and the
     # cost must be those of the float scores base + surplus
     schemes = [NoInterference(), Pop(p_c=1.0, theta=theta), Pop(p_c=0.5, theta=theta)]

@@ -10,6 +10,7 @@ from latticecoop.game import (
     acceptance_table,
     by_code,
     compute_scores,
+    key_table,
     logistic,
     pair_payoff,
     rank_table,
@@ -17,7 +18,7 @@ from latticecoop.game import (
 )
 from latticecoop.grid import Grid, Strategy, neighbours
 
-from conftest import grids, payoffs, scores_bruteforce
+from conftest import TIE_THETAS, grids, payoffs, scores_bruteforce
 
 C, D = Strategy.C, Strategy.D
 
@@ -162,6 +163,22 @@ def test_rank_table_tie_invested_cooperator_with_defector():
     assert rank_table(PayoffParams(b=1.5), 0.5, 4)[9] == rank_table(PayoffParams(b=1.5), 0.5, 4)[3]
     # unpaid, the same cooperators do not tie
     assert rank_table(PayoffParams(b=2.0), 1.0, 0)[6] < rank_table(PayoffParams(b=2.0), 1.0, 0)[1]
+
+
+@pytest.mark.parametrize("b", [1.5, 1.8, 2.0])
+@pytest.mark.parametrize("punishment", [0.0, 0.1])
+def test_key_table_is_sixteen_times_the_dense_rank_plus_strategy(b, punishment):
+    # entry by code 5 * strategy + k: codes 5..9 are cooperators (strategy 1)
+    params = PayoffParams(b=b, punishment=punishment)
+    for theta in (*TIE_THETAS, 4 * b - 4, 4 * b - 3, 4 * b - 2):
+        for n_c in range(5):
+            scores = score_table(params, theta, n_c).tolist()
+            levels = sorted(set(scores))
+            keys = key_table(params, theta, n_c)
+            assert keys.dtype == np.uint8 and not keys.flags.writeable
+            assert keys.tolist() == [16 * levels.index(s) + (code >= 5)
+                                     for code, s in enumerate(scores)], (theta, n_c)
+            assert key_table(params, theta, n_c) is keys
 
 
 @settings(max_examples=40)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from latticecoop import interference
 from latticecoop.analysis import lone_defector_grid
-from latticecoop.game import PayoffParams, by_code, compute_scores, score_table
+from latticecoop.game import PayoffParams, by_code, compute_scores, key_table, score_table
 from latticecoop.grid import Grid, Strategy, coop_count, random_grid
 from latticecoop.interference import (
     InvestmentOutcome,
@@ -255,8 +255,8 @@ def test_neb_tables_equal_the_scalar_formula(payoff):
     # largest lure rank around), equals the rule evaluated on Python floats
     scores = score_table(payoff).tolist()
     levels = sorted(set(scores))  # base score by rank
-    keys = interference._node_keys(payoff)
-    assert keys.tolist() == [8 * levels.index(s) + (code >= 5) for code, s in enumerate(scores)]
+    keys = key_table(payoff, 0.0, 4)  # the node keys _best_index looks up
+    assert keys.tolist() == [16 * levels.index(s) + (code >= 5) for code, s in enumerate(scores)]
     assert not keys.flags.writeable
     for eps in (0.1, 0.5, 1.0, payoff.b - 1, *_zero_top_up_eps(payoff)):
         neb_i = interference._neb_i_table(payoff, eps)
