@@ -162,10 +162,11 @@ def step_fermi(
 
     When every score follows from the cell's code ``5 * strategy + k``, pass
     ``accept = game.acceptance_table(...)`` for those scores and K instead of
-    ``scores``: the probability is then looked up by the pair of codes, with
-    the same result. Exactly one of the two is required; ``scores``, when
-    given, must be shaped like the grid and ``accept`` must hold 100 entries.
-    A ValueError names the argument that does not fit.
+    ``scores``: an agent whose u_a is below the switch probability looked up by
+    the pair of codes (0.0 where the strategies agree) flips its strategy, with
+    the same result. Exactly one of the two is required; ``scores``, when given,
+    must be shaped like the grid and ``accept`` must hold 100 entries. A
+    ValueError names the argument that does not fit.
     """
     length = g.side_length
     if (accept is None) == (scores is None):
@@ -177,17 +178,15 @@ def step_fermi(
     u_mut, u_nbr, u_acc = _draw_rows(rng, length)
 
     nbr_code = choose_neighbour(u_nbr, neighbour_field(g.code))
-    nbr_strat = (nbr_code >= 5).view(np.uint8)  # a code >= 5 is a cooperator
     if accept is not None:
-        # Copying a neighbour of one's own strategy changes nothing, so the
-        # test runs on every agent.
+        # The table is 0.0 where the two strategies agree, so a copy is a switch.
         pair = g.code * np.uint8(10)
         pair += nbr_code
-        copied = u_acc < accept.take(pair)
-        next_cells = where_cells(copied, nbr_strat, g.cells)
+        next_cells = g.cells ^ (u_acc < accept.take(pair)).view(np.uint8)
     else:
         # Acceptance can change only agents whose chosen neighbour plays the
         # other strategy, so the logistic is evaluated for those alone.
+        nbr_strat = (nbr_code >= 5).view(np.uint8)  # a code >= 5 is a cooperator
         differ = np.flatnonzero(nbr_strat != g.cells)
         nbr = (u_nbr.take(differ) * 4.0).astype(np.intp)  # direction 0..3 since u < 1
         nbr *= g.size

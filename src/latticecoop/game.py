@@ -110,16 +110,16 @@ def key_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def acceptance_table(params: PayoffParams, theta: float, n_c: int, k: float) -> np.ndarray:
-    """Fermi acceptance by the codes of a cell and its chosen neighbour: entry
-    ``10 * own + nbr`` is ``logistic((table[nbr] - table[own]) / k)`` for
-    ``table = score_table(params, theta, n_c)``.
-
-    The same float operations, in the same order, as the Fermi step on
-    ``base + surplus`` scores (subtract, divide by ``k``, logistic), so each
-    entry equals the probability it computes for such a pair bit for bit.
+    """Probability that a cell switches strategy by copying its chosen neighbour, by
+    their codes (5..9 are cooperators): entry ``10 * own + nbr`` is exactly 0.0 where
+    the two strategies agree, since no draw in [0, 1) is below it, and else
+    ``logistic((table[nbr] - table[own]) / k)`` for ``table = score_table(params,
+    theta, n_c)``, bit for bit the Fermi step's probability on ``base + surplus``
+    scores: the same float operations (subtract, divide by ``k``, logistic) in order.
     """
     table = score_table(params, theta, n_c).tolist()
-    accept = np.array([logistic((nbr - own) / k) for own in table for nbr in table])
+    accept = np.array([logistic((table[nbr] - table[own]) / k) if (own >= 5) != (nbr >= 5)
+                       else 0.0 for own in range(10) for nbr in range(10)])
     accept.setflags(write=False)
     return accept
 

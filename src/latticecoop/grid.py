@@ -194,9 +194,12 @@ def neighbour_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def where_cells(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """``np.where(mask, new, old)`` as bitwise ops (np.where is slow on bytes): for 0/1
-    uint8 cells under a bool mask, or any uint8 values under a uint8 mask of 0 or 255."""
-    return old ^ ((old ^ new) & mask.view(np.uint8))
+    """``np.where(mask, new, old)`` for uint8 values under a 0/1 mask (bool or uint8),
+    as an XOR, a multiply by the mask and an XOR (np.where is slow on bytes)."""
+    picked = new ^ old
+    picked *= mask.view(np.uint8)
+    picked ^= old
+    return picked
 
 
 def choose_neighbour(u: np.ndarray, field: tuple) -> np.ndarray:
@@ -204,15 +207,12 @@ def choose_neighbour(u: np.ndarray, field: tuple) -> np.ndarray:
 
     ``field`` is ``neighbour_field`` of a uint8 array and ``u`` holds uniforms
     in [0, 1). ``4 * u`` is exact, so ``floor(4 * u) < k`` exactly when
-    ``u < k / 4``: three bitwise selects build the result with no index array.
+    ``u < k / 4``: three ``where_cells`` under the masks ``u < k / 4`` build
+    the result with no index array.
     """
     north, east, south, west = field
-
-    def below(t: float) -> np.ndarray:
-        return -(u < t).view(np.uint8)  # 255 where u < t, else 0
-
     return where_cells(
-        below(0.5), where_cells(below(0.25), north, east), where_cells(below(0.75), south, west)
+        u < 0.5, where_cells(u < 0.25, north, east), where_cells(u < 0.75, south, west)
     )
 
 

@@ -203,6 +203,9 @@ def step_fermi_bruteforce(
             nxt[i] = Strategy.C.value if u_mut < mu / 2 else Strategy.D.value
             continue
         j = neighbours(i, length)[int(u_nbr * 4)]
-        p = 1.0 / (1.0 + math.exp(min(700.0, (score_flat[i] - score_flat[j]) / k)))
+        try:
+            p = 1.0 / (1.0 + math.exp((score_flat[i] - score_flat[j]) / k))
+        except OverflowError:  # as game.logistic (and expit): 0.0 past exp's overflow edge
+            p = 0.0
         nxt[i] = flat[j] if u_acc < p else flat[i]
     return Grid(nxt.reshape(length, length))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -409,7 +410,8 @@ class FixedDraws:
 def boundary_draws(g, scores, k, mu):
     """(Z, 3) draws at every threshold: u_n cycles QUARTER_EDGES, u_m is mu / 2,
     mu or above both, and u_a is the acceptance probability of the chosen
-    neighbour or the float just below it (which copies)."""
+    neighbour, the float just below it (which copies) or 0.0, the smallest draw
+    (which copies only where that probability is above 0.0)."""
     length = g.side_length
     flat_scores = scores.reshape(-1)
     mut_cycle = (mu / 2, mu, np.nextafter(mu / 2, 0), np.nextafter(mu, 0), 0.6, 0.9, 0.99)
@@ -418,7 +420,7 @@ def boundary_draws(g, scores, k, mu):
         u_nbr = QUARTER_EDGES[i % len(QUARTER_EDGES)]
         j = neighbours(i, length)[int(4 * u_nbr)]
         p = fermi_probability(float(flat_scores[i]), float(flat_scores[j]), k)
-        u_acc = p if (i // len(QUARTER_EDGES)) % 2 == 0 else np.nextafter(p, 0)
+        u_acc = (p, np.nextafter(p, 0), 0.0)[(i // len(QUARTER_EDGES)) % 3]
         draws[i] = mut_cycle[i % len(mut_cycle)], u_nbr, u_acc
     return draws
 
@@ -428,25 +430,26 @@ def boundary_draws(g, scores, k, mu):
 @pytest.mark.parametrize("b", TIE_BS)
 def test_step_fermi_at_draw_boundaries_matches_replay(side, mu, b):
     # crafted draws at each threshold pin the neighbour selects, the mutation
-    # compares and the strict acceptance compare on both paths
+    # compares and the strict acceptance compare on both paths; at K=1e-300
+    # the probabilities saturate to exactly 0.0 and 1.0
     payoff = PayoffParams(b=b)
-    rule = Fermi(K=0.3, mu=mu)
-    for seed in range(4):
+    for k, seed in itertools.product((0.3, 1e-300), range(4)):
+        rule = Fermi(K=k, mu=mu)
         g = Grid(np.random.default_rng(seed).integers(0, 2, (side, side), dtype=np.uint8))
         table_scores = by_code(g.code, score_table(payoff, 3.0, 2))
-        draws = boundary_draws(g, table_scores, 0.3, mu)
-        expected = step_fermi_bruteforce(g, table_scores, 0.3, mu, draws=draws)
-        accept = acceptance_table(payoff, 3.0, 2, 0.3)
+        draws = boundary_draws(g, table_scores, k, mu)
+        expected = step_fermi_bruteforce(g, table_scores, k, mu, draws=draws)
+        accept = acceptance_table(payoff, 3.0, 2, k)
         for scores, table in ((None, accept), (table_scores, None)):
             rng = FixedDraws(draws)
             assert step_fermi(g, scores, rule, rng, table) == expected
             assert rng.calls == 1
         # the float path on scores no code table gives
         scores = compute_scores(g, payoff) + apply(NebII(eps=0.5), g, payoff).surplus
-        draws = boundary_draws(g, scores, 0.3, mu)
+        draws = boundary_draws(g, scores, k, mu)
         rng = FixedDraws(draws)
         assert step_fermi(g, scores, rule, rng) == step_fermi_bruteforce(
-            g, scores, 0.3, mu, draws=draws
+            g, scores, k, mu, draws=draws
         )
         assert rng.calls == 1
 

@@ -205,7 +205,9 @@ def test_float_pairs_equal_a_plain_take(g, params):
 @pytest.mark.parametrize("punishment", [0.0, 0.1])
 @pytest.mark.parametrize("k", [0.05, 0.3, 2.0])
 def test_acceptance_table_equals_fermi_probability_bit_for_bit(b, punishment, k):
-    # entry 10 * own + nbr: a cell of code own copying a neighbour of code nbr
+    # entry 10 * own + nbr: a cell of code own switching by copying a neighbour
+    # of code nbr; codes 5..9 are cooperators, and copying one's own strategy
+    # is no switch, so those entries are exactly 0.0
     params = PayoffParams(b=b, punishment=punishment)
     for theta in (0.0, 0.5, 1.0, 3.0, 5.3):
         for n_c in range(5):
@@ -213,6 +215,7 @@ def test_acceptance_table_equals_fermi_probability_bit_for_bit(b, punishment, k)
             accept = acceptance_table(params, theta, n_c, k)
             assert accept.shape == (100,) and not accept.flags.writeable
             expected = [fermi_probability(table[own], table[nbr], k)
+                        if (own >= 5) != (nbr >= 5) else 0.0
                         for own in range(10) for nbr in range(10)]
             assert accept.tobytes() == np.array(expected).tobytes(), (theta, n_c)
 

@@ -120,7 +120,7 @@ def test_cell_codes_match_bruteforce(g):
 @example(3, 0)
 def test_choose_neighbour_matches_neighbours(side, seed):
     # entry floor(4u) of the N, E, S, W list, cell by cell, on uint8 values up
-    # to 255 (every bit of the select mask is used); side 3 is the smallest
+    # to 255 (every bit of the picked bytes is kept); side 3 is the smallest
     # torus, where every cell sits next to a wrapped edge
     rng = np.random.default_rng(seed)
     field = rng.integers(0, 256, (side, side), dtype=np.uint8)
