@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .game import ScoreField, by_code, logistic
+from .game import acceptance_table, by_code, key_table, logistic
 from .grid import (
     Grid,
     _frozen,
@@ -67,45 +67,37 @@ def fermi_probability(f_a: float, f_b: float, k: float) -> float:
     return logistic((f_b - f_a) / k)
 
 
-def _check_scores(g: Grid, scores: ScoreField | None) -> None:
-    if np.shape(scores) != g.cells.shape:
-        raise ValueError(
-            f"scores must be shaped like the grid {g.cells.shape}, got {np.shape(scores)}"
-        )
+def _is_score_table(g: Grid, scores: np.ndarray) -> bool:
+    """Whether ``scores`` are the ten scores by code (``game.score_table``) rather
+    than one per cell. A ValueError names ``scores`` when they are neither."""
+    shape = np.shape(scores)
+    if shape not in ((10,), g.cells.shape):
+        raise ValueError(f"scores must be shaped like the grid {g.cells.shape} "
+                         f"or hold the ten scores by code, got {shape}")
+    return shape == (10,)
 
 
-def step_deterministic(
-    g: Grid, scores: ScoreField | None = None, keys: np.ndarray | None = None
-) -> Grid:
+def step_deterministic(g: Grid, scores: np.ndarray) -> Grid:
     """Synchronous imitate-best update.
 
     Each agent adopts the strategy of the highest-scoring member of itself
     plus its four neighbours; ties prefer self, then the fixed N, E, S, W
-    order. Pure function of (g, scores). Only the order of the scores
-    matters: ``scores`` may be any per-cell array shaped like the grid, of any
-    dtype, whose entries compare (``>`` and ``==``) as the scores do, such as
-    their ranks. They take a strict-``>`` running maximum in that order,
-    which keeps the first maximum.
+    order. Pure function of (g, scores).
 
-    When every score follows from the cell's code ``5 * strategy + k``, pass
-    ``keys = game.key_table(...)`` for those scores instead of ``scores``:
-    each cell's key ``rank << 4 | strategy`` is then looked up by its code,
-    and ``grid.first_max`` over self, N, E, S, W picks the first candidate
-    with the largest rank, with the same result. Exactly one of the two is
-    required; ``scores``, when given, must be shaped like the grid and
-    ``keys`` must hold 10 entries. A ValueError names the argument that does
-    not fit.
+    ``scores`` come in one of two forms. Per cell, shaped like the grid, they
+    may be of any dtype whose entries compare (``>`` and ``==``) as the scores
+    do, such as their ranks; a strict-``>`` running maximum over self, N, E, S,
+    W keeps the first maximum. As the ten scores by code ``5 * strategy + k``
+    (``game.score_table``), each cell's key ``rank << 4 | strategy`` is looked
+    up by its code in ``game.key_table(scores)``, and ``grid.first_max`` picks
+    the first candidate with the largest rank, with the same result. A
+    ValueError names ``scores`` in any other shape.
     """
-    if (keys is None) == (scores is None):
-        raise ValueError("step_deterministic takes one of scores and a key table (keys)")
-    if keys is not None:
-        if np.size(keys) != 10:
-            raise ValueError(f"keys must hold 10 entries, got {np.size(keys)}")
-        best = by_code(g.code, keys)
+    if _is_score_table(g, scores):
+        best = by_code(g.code, key_table(scores))
         first_max(best, *neighbour_field(best))
         best &= 1
         return Grid._owning(best)
-    _check_scores(g, scores)
     best_score, best = scores, g.cells
     for score, strategy in zip(neighbour_field(scores), neighbour_field(g.cells)):
         best = where_cells(score > best_score, strategy, best)
@@ -139,13 +131,7 @@ def _draw_rows(rng: np.random.Generator, length: int) -> np.ndarray:
     return rows
 
 
-def step_fermi(
-    g: Grid,
-    scores: ScoreField | None,
-    rule: Fermi,
-    rng: np.random.Generator,
-    accept: np.ndarray | None = None,
-) -> Grid:
+def step_fermi(g: Grid, scores: np.ndarray, rule: Fermi, rng: np.random.Generator) -> Grid:
     """Synchronous Fermi update from a frozen copy of (g, scores).
 
     Randomness: one ``rng.random(out=...)`` call on a (Z, 3) array, the stream
@@ -160,38 +146,31 @@ def step_fermi(
     * acceptance: copy the chosen neighbour's strategy iff
       u_a < fermi_probability(own score, neighbour score, K).
 
-    When every score follows from the cell's code ``5 * strategy + k``, pass
-    ``accept = game.acceptance_table(...)`` for those scores and K instead of
-    ``scores``: an agent whose u_a is below the switch probability looked up by
+    ``scores`` come in one of two forms. Per cell, shaped like the grid and of
+    any real dtype, they are compared as float64. As the ten scores by code
+    ``5 * strategy + k`` (``game.score_table``), an agent whose u_a is below
+    the switch probability ``game.acceptance_table(scores, K)`` looked up by
     the pair of codes (0.0 where the strategies agree) flips its strategy, with
-    the same result. Exactly one of the two is required; ``scores``, when given,
-    must be shaped like the grid and ``accept`` must hold 100 entries. A
-    ValueError names the argument that does not fit.
+    the same result. A ValueError names ``scores`` in any other shape.
     """
     length = g.side_length
-    if (accept is None) == (scores is None):
-        raise ValueError("step_fermi takes one of scores and an acceptance table (accept)")
-    if scores is not None:
-        _check_scores(g, scores)
-    if accept is not None and np.size(accept) != 100:
-        raise ValueError(f"accept must hold 100 entries, got {np.size(accept)}")
+    by_codes = _is_score_table(g, scores)
     u_mut, u_nbr, u_acc = _draw_rows(rng, length)
 
     nbr_code = choose_neighbour(u_nbr, neighbour_field(g.code))
-    if accept is not None:
-        # The table is 0.0 where the two strategies agree, so a copy is a switch.
+    # A copy changes an agent only where its chosen neighbour plays the other
+    # strategy, so a copy is a switch: the agents that copy are flipped.
+    if by_codes:
         pair = g.code * np.uint8(10)
         pair += nbr_code
-        next_cells = g.cells ^ (u_acc < accept.take(pair)).view(np.uint8)
+        next_cells = g.cells ^ (u_acc < acceptance_table(scores, rule.K).take(pair)).view(np.uint8)
     else:
-        # Acceptance can change only agents whose chosen neighbour plays the
-        # other strategy, so the logistic is evaluated for those alone.
-        nbr_strat = (nbr_code >= 5).view(np.uint8)  # a code >= 5 is a cooperator
-        differ = np.flatnonzero(nbr_strat != g.cells)
+        # The logistic is evaluated only for the agents that can switch.
+        differ = np.flatnonzero((nbr_code >= 5) != g.cells)  # a code >= 5 is a cooperator
         nbr = (u_nbr.take(differ) * 4.0).astype(np.intp)  # direction 0..3 since u < 1
         nbr *= g.size
         nbr += differ
-        gap = scores.take(_neighbour_index(length).take(nbr))
+        gap = scores.take(_neighbour_index(length).take(nbr)).astype(np.float64, copy=False)
         gap -= scores.take(differ)
         gap /= rule.K
         u = u_acc.take(differ)
@@ -201,9 +180,8 @@ def step_fermi(
         # p can be decided differently; those take the exact logistic.
         for i in np.flatnonzero(abs(u - accept) < 2.0**-40):
             accept[i] = logistic(gap[i])
-        copied = differ[u < accept]
         next_cells = g.cells.copy()
-        next_cells.put(copied, nbr_strat.take(copied))
+        next_cells.reshape(-1)[differ[u < accept]] ^= 1
 
     if rule.mu > 0.0:
         # a mutant becomes C (1) when u_m < mu / 2, else D (0)
@@ -213,19 +191,14 @@ def step_fermi(
 
 
 def step(
-    g: Grid,
-    scores: ScoreField | None,
-    rule: UpdateRule,
-    rng: np.random.Generator | None,
-    table: np.ndarray | None = None,
+    g: Grid, scores: np.ndarray, rule: UpdateRule, rng: np.random.Generator | None
 ) -> Grid:
-    """Advance one generation under the configured update rule. ``table`` is the
-    rule's by-code table in place of ``scores``: the keys of ``step_deterministic``
-    or the acceptance of ``step_fermi``."""
+    """Advance one generation under the configured update rule, on per-cell
+    ``scores`` or the ten scores by code (``game.score_table``)."""
     if isinstance(rule, Deterministic):
-        return step_deterministic(g, scores, table)
+        return step_deterministic(g, scores)
     if isinstance(rule, Fermi):
         if rng is None:
             raise ValueError("the Fermi rule requires a random generator")
-        return step_fermi(g, scores, rule, rng, table)
+        return step_fermi(g, scores, rule, rng)
     raise TypeError(f"unknown update rule: {rule!r}")

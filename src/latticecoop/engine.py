@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import Deterministic, Fermi, UpdateRule, step
-from .game import PayoffParams, acceptance_table, compute_scores, key_table
+from .game import PayoffParams, compute_scores, score_table
 from .grid import MIN_SIDE_LENGTH, Grid, Strategy, check_field_types, coop_count, random_grid
 from .grid import grid_hash  # noqa: F401 (perfbench looks grid.grid_hash up here only)
 from .interference import InterferenceScheme, NoInterference, apply
@@ -113,26 +113,22 @@ def step_generation(
     A homogeneous grid steps as a ``none`` generation: it is absorbing
     without mutation, so investing there is pure waste. After a flat
     investment (none, pop, neb: ``n_c`` set) a cell's score follows from its
-    code, so no float scores are needed: the Fermi rule looks its acceptance
-    up by the codes of a cell and its chosen neighbour
-    (``game.acceptance_table``), and imitate-best looks each cell's key up by
-    its code (``game.key_table``). ``neb_i`` and ``neb_ii`` step on the float
-    scores ``base + surplus``.
+    code, so the rule steps on the ten scores by code (``game.score_table``)
+    and builds no float scores. ``neb_i`` and ``neb_ii`` step on the per-cell
+    float scores ``base + surplus``.
     """
     if is_homogeneous(g) is not None:
         scheme = NoInterference()
     outcome = apply(scheme, g, payoff)
-    scores = table = None
     if outcome.n_c is None:
         scores = compute_scores(g, payoff) + outcome.surplus
-    elif isinstance(rule, Fermi):
-        table = acceptance_table(payoff, outcome.theta, outcome.n_c, rule.K)
     else:
-        # The key path reads no base scores: they are computed there only while
-        # perfbench taps compute_scores (ROADMAP item 1).
-        compute_scores(g, payoff)
-        table = key_table(payoff, outcome.theta, outcome.n_c)
-    return step(g, scores, rule, rng, table), outcome.generation_cost
+        if isinstance(rule, Deterministic):
+            # The key path reads no base scores: they are computed there only while
+            # perfbench taps compute_scores (ROADMAP item 1).
+            compute_scores(g, payoff)
+        scores = score_table(payoff, outcome.theta, outcome.n_c)
+    return step(g, scores, rule, rng), outcome.generation_cost
 
 
 def run(config: RunConfig) -> RunResult:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, Strategy, check_field_types
+from .grid import Grid, Strategy, _frozen, check_field_types
 
 # Score of one agent per generation is the sum over 4 encounters.
 REWARD = 1.0
@@ -78,50 +78,48 @@ def score_table(params: PayoffParams, theta: float = 0.0, n_c: int = 4) -> np.nd
     return table
 
 
-@lru_cache(maxsize=256)
-def rank_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
-    """Dense uint8 ranks (0..9) of ``score_table(params, theta, n_c)``, by code.
+def key_table(scores: np.ndarray) -> np.ndarray:
+    """uint8 keys ``rank << 4 | strategy`` by code for the ten scores by code
+    ``scores`` (``score_table``), at the dense rank of each score; codes 5..9 are
+    cooperators. Equal score tables share one read-only table.
 
-    Equal floats share a rank and the order is kept, so imitate-best picks
-    the same strategy from these ranks as from the float scores. Ranked in
-    Python: ``np.unique`` would first map ~0.5 MB of NumPy's sort code.
+    Equal floats share a rank and the order is kept, so imitate-best picks the
+    same strategy from these keys as from the float scores. A rank step of 16
+    outweighs ``grid.first_max``'s bonus plus strategy over up to five
+    candidates, so the first maximum of these keys is the first candidate with
+    the largest score.
     """
-    scores = score_table(params, theta, n_c).tolist()
+    return _key_table(np.asarray(scores, dtype=np.float64).tobytes())
+
+
+@lru_cache(maxsize=256)
+def _key_table(table: bytes) -> np.ndarray:
+    # Ranked in Python: ``np.unique`` would first map ~0.5 MB of NumPy's sort code.
+    scores = np.frombuffer(table).tolist()
     levels = sorted(set(scores))
-    ranks = np.array([levels.index(score) for score in scores], dtype=np.uint8)
-    ranks.setflags(write=False)
-    return ranks
+    return _frozen(np.array([levels.index(score) << 4 | (code >= 5)
+                             for code, score in enumerate(scores)], dtype=np.uint8))
 
 
-@lru_cache(maxsize=256)
-def key_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
-    """uint8 keys ``rank << 4 | strategy`` by code, for the dense ranks of
-    ``rank_table(params, theta, n_c)``; codes 5..9 are cooperators.
-
-    A rank step of 16 outweighs ``grid.first_max``'s bonus plus strategy over
-    up to five candidates, so the first maximum of these keys is the first
-    candidate with the largest score.
-    """
-    keys = rank_table(params, theta, n_c) * np.uint8(16)
-    keys[5:] |= np.uint8(Strategy.C.value)
-    keys.setflags(write=False)
-    return keys
-
-
-@lru_cache(maxsize=256)
-def acceptance_table(params: PayoffParams, theta: float, n_c: int, k: float) -> np.ndarray:
+def acceptance_table(scores: np.ndarray, k: float) -> np.ndarray:
     """Probability that a cell switches strategy by copying its chosen neighbour, by
-    their codes (5..9 are cooperators): entry ``10 * own + nbr`` is exactly 0.0 where
-    the two strategies agree, since no draw in [0, 1) is below it, and else
-    ``logistic((table[nbr] - table[own]) / k)`` for ``table = score_table(params,
-    theta, n_c)``, bit for bit the Fermi step's probability on ``base + surplus``
-    scores: the same float operations (subtract, divide by ``k``, logistic) in order.
+    their codes (5..9 are cooperators), for the ten scores by code ``scores``
+    (``score_table``) and noise ``k``. Equal score tables share one read-only table.
+
+    Entry ``10 * own + nbr`` is exactly 0.0 where the two strategies agree, since
+    no draw in [0, 1) is below it, and else ``logistic((scores[nbr] - scores[own])
+    / k)``, bit for bit the Fermi step's probability on the per-cell scores: the
+    same float operations (subtract, divide by ``k``, logistic) in order.
     """
-    table = score_table(params, theta, n_c).tolist()
-    accept = np.array([logistic((table[nbr] - table[own]) / k) if (own >= 5) != (nbr >= 5)
-                       else 0.0 for own in range(10) for nbr in range(10)])
-    accept.setflags(write=False)
-    return accept
+    return _acceptance_table(np.asarray(scores, dtype=np.float64).tobytes(), k)
+
+
+@lru_cache(maxsize=256)
+def _acceptance_table(table: bytes, k: float) -> np.ndarray:
+    scores = np.frombuffer(table).tolist()
+    return _frozen(np.array([logistic((scores[nbr] - scores[own]) / k)
+                             if (own >= 5) != (nbr >= 5) else 0.0
+                             for own in range(10) for nbr in range(10)]))
 
 
 @lru_cache(maxsize=64)

@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .game import PayoffParams, by_code, key_table, rank_table, score_table
+from .game import PayoffParams, by_code, key_table, score_table
 from .grid import (
     Grid,
     Strategy,
@@ -196,10 +196,10 @@ def apply_neb(g: Grid, scheme: Neb) -> InvestmentOutcome:
 # A cell's best neighbour under neb_i/neb_ii is the first of its N, E, S, W
 # neighbours, in that order, with the largest base score. Each cell's node
 # key is ``rank << 4 | strategy`` for the dense rank of its base score
-# (``game.key_table(payoff, 0.0, 4)``), and ``grid.first_max`` over the N, E,
-# S, W keys finds the best neighbour: a rank step of 16 outweighs bonus plus
-# strategy (<= 7) and equal ranks go by bonus. A cell's neb_i surplus is then
-# a function of its own code and the winner's rank and strategy, and its
+# (``game.key_table(score_table(payoff))``), and ``grid.first_max`` over the
+# N, E, S, W keys finds the best neighbour: a rank step of 16 outweighs bonus
+# plus strategy (<= 7) and equal ranks go by bonus. A cell's neb_i surplus is
+# then a function of its own code and the winner's rank and strategy, and its
 # neb_ii surplus of those and of the largest lure rank among its neighbours.
 # Both are looked up in small tables built per (payoff, eps).
 _CODES, _RANKS, _LURES = 10, 10, 11  # lure 0 is no luring target, r + 1 is rank r
@@ -209,7 +209,7 @@ _NEB_CACHE = 16  # (payoff, eps) pairs kept: each neb_ii entry is ~18 KB
 def _best_index(g: Grid, payoff: PayoffParams) -> np.ndarray:
     """Per cell, the uint8 index ``20 * code + 2 * rank + strategy`` of its own
     code and its best neighbour's base-score rank and strategy."""
-    keys = by_code(g.code, key_table(payoff, 0.0, 4))
+    keys = by_code(g.code, key_table(score_table(payoff)))
     north, east, south, west = neighbour_field(keys)
     np.copyto(keys, north)  # the keys' buffer is free: the field holds its own copy
     best = first_max(keys, east, south, west)
@@ -228,7 +228,7 @@ def _table_axes(payoff: PayoffParams) -> tuple[np.ndarray, ...]:
     code, rank, strategy = np.ogrid[:_CODES, :_RANKS, :2]
     scores = score_table(payoff)
     levels = np.zeros(_RANKS)
-    levels[rank_table(payoff, 0.0, 4)] = scores
+    levels[key_table(scores) >> 4] = scores
     return code, rank, strategy, scores[code], levels[rank]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -29,7 +30,6 @@ from latticecoop.game import (
     by_code,
     compute_scores,
     key_table,
-    rank_table,
     score_table,
 )
 from latticecoop.grid import Grid, Strategy, coop_count, neighbours
@@ -106,10 +106,11 @@ def test_fermi_probability_rejects_bad_inputs():
 
 
 def test_step_deterministic_rejects_misshaped_scores():
-    # unchecked, (10,) float scores would broadcast along the rows into a 10x10 grid
-    g = lone_defector_grid(10)
+    # unchecked, (11,) float scores would broadcast along the rows into an 11x11
+    # grid; (10,) scores are the ten scores by code
+    g = lone_defector_grid(11)
     for dtype in (np.float64, np.uint8):
-        for shape in ((10,), (1, 10), (20, 20), (5, 5), ()):
+        for shape in ((11,), (1, 11), (22, 22), (5, 5), ()):
             with pytest.raises(ValueError, match="scores must be shaped like the grid"):
                 step_deterministic(g, np.zeros(shape, dtype))
 
@@ -147,7 +148,7 @@ def test_step_deterministic_matches_bruteforce(g, theta):
         expected = step_deterministic_bruteforce(g, scores)
         assert step_deterministic(g, scores) == expected
         # the uint8 ranks of the same scores (pop with p_c=1 pays every cooperator)
-        ranks = rank_table(PayoffParams(b=b), theta, 4).take(g.code)
+        ranks = (key_table(score_table(PayoffParams(b=b), theta, 4)) >> 4).take(g.code)
         assert step_deterministic(g, ranks) == expected
 
 
@@ -191,7 +192,7 @@ def test_step_deterministic_results_own_read_only_cells(g, b, theta, n_c):
     payoff = PayoffParams(b=b)
     # uint8 ranks (below 16) and the same ranks raised by 16 take the running
     # maximum like float scores
-    ranks = by_code(g.code, rank_table(payoff, theta, n_c))
+    ranks = by_code(g.code, key_table(score_table(payoff, theta, n_c)) >> 4)
     assert ranks.max() < 16
     high = ranks + np.uint8(16)
     floats = by_code(g.code, score_table(payoff, theta, n_c))
@@ -209,33 +210,26 @@ def test_step_deterministic_results_own_read_only_cells(g, b, theta, n_c):
 def test_step_deterministic_on_key_table_matches_bruteforce(g, b, theta, n_c):
     # looking each cell's key up by code must give the grid of the oracle on
     # the scores those codes stand for, and a grid of its own
-    payoff = PayoffParams(b=b)
-    scores = by_code(g.code, score_table(payoff, theta, n_c))
-    keys = key_table(payoff, theta, n_c)
-    got = step_deterministic(g, keys=keys)
+    table = score_table(PayoffParams(b=b), theta, n_c)
+    scores = by_code(g.code, table)
+    got = step_deterministic(g, table)
     assert got == step_deterministic_bruteforce(g, scores)
-    _assert_owns_fresh_cells(got, g, keys)
-    assert step(g, None, Deterministic(), None, keys) == got
+    _assert_owns_fresh_cells(got, g, key_table(table))
+    assert step(g, table, Deterministic(), None) == got
 
 
 def test_step_deterministic_rejects_bad_inputs():
     g = lone_defector_grid(10)
-    payoff = PayoffParams(b=1.8)
-    scores = compute_scores(g, payoff)
-    keys = key_table(payoff, 0.0, 4)
-    # exactly one score source: given both or neither, the error names both
-    for given_scores, table in ((scores, keys), (None, None)):
-        with pytest.raises(ValueError, match="scores.*keys"):
-            step_deterministic(g, given_scores, table)
-        with pytest.raises(ValueError, match="scores.*keys"):
-            step(g, given_scores, Deterministic(), None, table)
-    for size in (9, 11, 100):
-        with pytest.raises(ValueError, match="keys must hold 10 entries"):
-            step_deterministic(g, keys=np.zeros(size, np.uint8))
-    # an acceptance table reaching the deterministic rule is not a key table
-    accept = acceptance_table(payoff, 0.0, 4, 0.3)
-    with pytest.raises(ValueError, match="keys must hold 10 entries, got 100"):
-        step(g, None, Deterministic(), None, accept)
+    # scores are per cell or the ten by code: none, other sizes and shapes, and
+    # an acceptance table reaching the deterministic rule are named
+    accept = acceptance_table(score_table(PayoffParams(b=1.8)), 0.3)
+    bad = (None, np.zeros(9), np.zeros(11), np.zeros(100), np.zeros((20, 20)), np.zeros((5, 5)))
+    for scores in (*bad, accept):
+        named = rf"scores must be shaped like the grid .* got {re.escape(str(np.shape(scores)))}$"
+        with pytest.raises(ValueError, match=named):
+            step_deterministic(g, scores)
+        with pytest.raises(ValueError, match=named):
+            step(g, scores, Deterministic(), None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -248,14 +242,11 @@ def test_step_deterministic_rejects_bad_inputs():
     st.integers(0, 2**32 - 1),
 )
 def test_step_fermi_results_own_read_only_cells(g, b, theta, n_c, mu, seed):
-    payoff = PayoffParams(b=b)
     rule = Fermi(K=0.1, mu=mu)
-    accept = acceptance_table(payoff, theta, n_c, rule.K)
-    table = step_fermi(g, None, rule, np.random.default_rng(seed), accept)
-    _assert_owns_fresh_cells(table, g, accept)
-    scores = by_code(g.code, score_table(payoff, theta, n_c))
-    floats = step_fermi(g, scores, rule, np.random.default_rng(seed))
-    _assert_owns_fresh_cells(floats, g, scores)
+    table = score_table(PayoffParams(b=b), theta, n_c)
+    scores = by_code(g.code, table)
+    for given, read in ((table, acceptance_table(table, rule.K)), (scores, scores)):
+        _assert_owns_fresh_cells(step_fermi(g, given, rule, np.random.default_rng(seed)), g, read)
 
 
 def test_step_deterministic_is_pure():
@@ -320,6 +311,20 @@ def test_step_fermi_matches_sequential_replay_on_invested_scores(g, scheme, mu, 
         assert got == step_fermi_bruteforce(g, scores, 0.3, mu, seed)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_step_fermi_on_per_cell_scores_of_any_real_dtype(dtype):
+    # per-cell scores of another real dtype are compared as float64: they give
+    # the next grid, and leave the next draw, of their float64 copies
+    rule = Fermi(K=0.3, mu=0.1)
+    for seed in range(10):
+        g = Grid(np.random.default_rng(seed).integers(0, 2, (9, 9), dtype=np.uint8))
+        scores = compute_scores(g, PayoffParams(b=1.8)).astype(dtype)
+        got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = step_fermi(g, scores, rule, got_rng)
+        assert got == step_fermi(g, scores.astype(np.float64), rule, expected_rng), seed
+        assert got_rng.random() == expected_rng.random()
+
+
 @pytest.mark.parametrize("side", [*range(3, 10), 256, 257])
 def test_neighbour_index_matches_neighbours(side):
     # entry d * Z + i is agent i's neighbour in direction d (N, E, S, W), in the
@@ -358,39 +363,29 @@ def test_neighbour_index_keeps_one_side_length():
 def test_step_fermi_on_acceptance_table_matches_replay(g, b, theta, n_c, k, mu, seed):
     # looking acceptance up by (own code, neighbour code) must give the grid of
     # the replay, and of the float path, on the scores those codes stand for
-    payoff = PayoffParams(b=b)
-    scores = by_code(g.code, score_table(payoff, theta, n_c))
+    table = score_table(PayoffParams(b=b), theta, n_c)
+    scores = by_code(g.code, table)
     rule = Fermi(K=k, mu=mu)
-    accept = acceptance_table(payoff, theta, n_c, k)
-    got = step_fermi(g, None, rule, np.random.default_rng(seed), accept)
+    got = step_fermi(g, table, rule, np.random.default_rng(seed))
     assert got == step_fermi_bruteforce(g, scores, k, mu, seed)
     assert got == step_fermi(g, scores, rule, np.random.default_rng(seed))
-    assert step(g, None, rule, np.random.default_rng(seed), accept) == got
+    assert step(g, table, rule, np.random.default_rng(seed)) == got
 
 
 def test_step_fermi_rejects_bad_inputs():
     g = lone_defector_grid(10)
-    payoff = PayoffParams(b=1.8)
     rule = Fermi(K=0.3)
-    accept = acceptance_table(payoff, 0.0, 4, 0.3)
-    rng = np.random.default_rng(0)
-    for shape in ((20, 20), (5, 5), (100,)):
-        with pytest.raises(ValueError, match="scores"):
-            step_fermi(g, np.zeros(shape), rule, rng)
-        with pytest.raises(ValueError, match="scores"):
-            step_fermi(g, np.zeros(shape), rule, rng, accept)
-    with pytest.raises(ValueError, match="accept"):
-        step_fermi(g, None, rule, rng)
-    # one score source: given both, neither wins silently
-    scores = compute_scores(g, payoff)
-    for call in (step_fermi, step):
-        with pytest.raises(ValueError, match="scores.*accept"):
-            call(g, scores, rule, rng, accept)
-    with pytest.raises(ValueError, match="scores.*keys"):
-        step(g, scores, Deterministic(), None, accept)
-    for size in (99, 101, 10):
-        with pytest.raises(ValueError, match="accept"):
-            step_fermi(g, None, rule, rng, np.full(size, 0.5))
+    # scores are per cell or the ten by code: none, other sizes and shapes, and
+    # an acceptance table passed as scores are named, before any draw
+    accept = acceptance_table(score_table(PayoffParams(b=1.8)), 0.3)
+    bad = (None, np.full(99, 0.5), np.full(101, 0.5), np.zeros((20, 20)), np.zeros((5, 5)))
+    for scores in (*bad, accept):
+        for call in (step_fermi, step):
+            rng = FixedDraws(np.zeros((g.size, 3)))
+            named = rf"scores must be shaped like the grid .* got {re.escape(str(np.shape(scores)))}$"
+            with pytest.raises(ValueError, match=named):
+                call(g, scores, rule, rng)
+            assert rng.calls == 0
 
 
 class FixedDraws:
@@ -436,13 +431,13 @@ def test_step_fermi_at_draw_boundaries_matches_replay(side, mu, b):
     for k, seed in itertools.product((0.3, 1e-300), range(4)):
         rule = Fermi(K=k, mu=mu)
         g = Grid(np.random.default_rng(seed).integers(0, 2, (side, side), dtype=np.uint8))
-        table_scores = by_code(g.code, score_table(payoff, 3.0, 2))
+        table = score_table(payoff, 3.0, 2)
+        table_scores = by_code(g.code, table)
         draws = boundary_draws(g, table_scores, k, mu)
         expected = step_fermi_bruteforce(g, table_scores, k, mu, draws=draws)
-        accept = acceptance_table(payoff, 3.0, 2, k)
-        for scores, table in ((None, accept), (table_scores, None)):
+        for scores in (table, table_scores):
             rng = FixedDraws(draws)
-            assert step_fermi(g, scores, rule, rng, table) == expected
+            assert step_fermi(g, scores, rule, rng) == expected
             assert rng.calls == 1
         # the float path on scores no code table gives
         scores = compute_scores(g, payoff) + apply(NebII(eps=0.5), g, payoff).surplus
@@ -504,11 +499,10 @@ def test_step_fermi_draw_buffers_follow_side_length_and_stay_inside():
     for seed, side in enumerate((5, 7, 5)):
         g = Grid(np.random.default_rng(seed).integers(0, 2, (side, side), dtype=np.uint8))
         scores = compute_scores(g, payoff) + apply(NebII(eps=0.5), g, payoff).surplus
-        accept = acceptance_table(payoff, 0.0, 4, 0.3)
         for got, expected in (
             (step_fermi(g, scores, rule, np.random.default_rng(seed)),
              step_fermi_bruteforce(g, scores, 0.3, 0.02, seed)),
-            (step_fermi(g, None, rule, np.random.default_rng(seed), accept),
+            (step_fermi(g, score_table(payoff), rule, np.random.default_rng(seed)),
              step_fermi_bruteforce(g, compute_scores(g, payoff), 0.3, 0.02, seed)),
         ):
             assert got == expected

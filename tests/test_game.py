@@ -13,7 +13,6 @@ from latticecoop.game import (
     key_table,
     logistic,
     pair_payoff,
-    rank_table,
     score_table,
 )
 from latticecoop.grid import Grid, Strategy, neighbours
@@ -141,6 +140,11 @@ def test_default_params_score_formula(g):
         assert scores[i] == (k if flat[i] == C.value else k * 1.7)
 
 
+def _ranks(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
+    """The dense ranks by code that ``key_table`` keys on, above the strategy bits."""
+    return key_table(score_table(params, theta, n_c)) >> 4
+
+
 @pytest.mark.parametrize("b, theta", [(2.0, 1.0), (1.5, 0.5), (1.8, 0.3), (1.8, 1e-300)])
 def test_rank_table_share_ties_and_keep_order(b, theta):
     params = PayoffParams(b=b)
@@ -148,7 +152,7 @@ def test_rank_table_share_ties_and_keep_order(b, theta):
         # a cooperator (code 5 + k) with k <= n_c is paid theta
         scores = [s + (theta if 5 <= code <= 5 + n_c else 0.0)
                   for code, s in enumerate(score_table(params))]
-        ranks = rank_table(params, theta, n_c)
+        ranks = _ranks(params, theta, n_c)
         assert ranks.dtype == np.uint8 and sorted(set(ranks)) == list(range(len(set(scores))))
         for i in range(10):
             for j in range(10):
@@ -159,10 +163,10 @@ def test_rank_table_share_ties_and_keep_order(b, theta):
 def test_rank_table_tie_invested_cooperator_with_defector():
     # code 5*s + k: a cooperator with k=1 paid theta=1 (code 6) ties a
     # defector with k'=1 (code 1) at b=2.0; at b=1.5, C(4) + 0.5 ties D(3)
-    assert rank_table(PayoffParams(b=2.0), 1.0, 4)[6] == rank_table(PayoffParams(b=2.0), 1.0, 4)[1]
-    assert rank_table(PayoffParams(b=1.5), 0.5, 4)[9] == rank_table(PayoffParams(b=1.5), 0.5, 4)[3]
+    assert _ranks(PayoffParams(b=2.0), 1.0, 4)[6] == _ranks(PayoffParams(b=2.0), 1.0, 4)[1]
+    assert _ranks(PayoffParams(b=1.5), 0.5, 4)[9] == _ranks(PayoffParams(b=1.5), 0.5, 4)[3]
     # unpaid, the same cooperators do not tie
-    assert rank_table(PayoffParams(b=2.0), 1.0, 0)[6] < rank_table(PayoffParams(b=2.0), 1.0, 0)[1]
+    assert _ranks(PayoffParams(b=2.0), 1.0, 0)[6] < _ranks(PayoffParams(b=2.0), 1.0, 0)[1]
 
 
 @pytest.mark.parametrize("b", [1.5, 1.8, 2.0])
@@ -174,18 +178,19 @@ def test_key_table_is_sixteen_times_the_dense_rank_plus_strategy(b, punishment):
         for n_c in range(5):
             scores = score_table(params, theta, n_c).tolist()
             levels = sorted(set(scores))
-            keys = key_table(params, theta, n_c)
+            keys = key_table(score_table(params, theta, n_c))
             assert keys.dtype == np.uint8 and not keys.flags.writeable
             assert keys.tolist() == [16 * levels.index(s) + (code >= 5)
                                      for code, s in enumerate(scores)], (theta, n_c)
-            assert key_table(params, theta, n_c) is keys
+            # cached by value: an equal score table gives the same object
+            assert key_table(np.array(scores)) is keys
 
 
 @settings(max_examples=40)
 @given(grids(3, 9), st.floats(0.01, 6.0), st.integers(0, 4))
 def test_cell_ranks_equal_a_plain_take(g, theta, n_c):
     # pairs of cells are looked up at once when Z is even; odd Z takes one at a time
-    ranks = rank_table(PayoffParams(b=1.8), theta, n_c)
+    ranks = _ranks(PayoffParams(b=1.8), theta, n_c)
     got = by_code(g.code, ranks)
     assert got.dtype == np.uint8 and got.shape == g.code.shape
     assert np.array_equal(got, ranks.take(g.code))
@@ -212,8 +217,10 @@ def test_acceptance_table_equals_fermi_probability_bit_for_bit(b, punishment, k)
     for theta in (0.0, 0.5, 1.0, 3.0, 5.3):
         for n_c in range(5):
             table = score_table(params, theta, n_c).tolist()
-            accept = acceptance_table(params, theta, n_c, k)
+            accept = acceptance_table(score_table(params, theta, n_c), k)
             assert accept.shape == (100,) and not accept.flags.writeable
+            # cached by value: an equal score table gives the same object
+            assert acceptance_table(np.array(table), k) is accept
             expected = [fermi_probability(table[own], table[nbr], k)
                         if (own >= 5) != (nbr >= 5) else 0.0
                         for own in range(10) for nbr in range(10)]

@@ -255,7 +255,7 @@ def test_neb_tables_equal_the_scalar_formula(payoff):
     # largest lure rank around), equals the rule evaluated on Python floats
     scores = score_table(payoff).tolist()
     levels = sorted(set(scores))  # base score by rank
-    keys = key_table(payoff, 0.0, 4)  # the node keys _best_index looks up
+    keys = key_table(score_table(payoff))  # the node keys _best_index looks up
     assert keys.tolist() == [16 * levels.index(s) + (code >= 5) for code, s in enumerate(scores)]
     assert not keys.flags.writeable
     for eps in (0.1, 0.5, 1.0, payoff.b - 1, *_zero_top_up_eps(payoff)):
