@@ -16,7 +16,6 @@ from .dynamics import (
     Deterministic,
     Fermi,
     UpdateRule,
-    fermi_probability,
     step_deterministic,
     step_fermi,
 )
@@ -31,14 +30,13 @@ from .engine import (
     run_replicates,
     step_generation,
 )
-from .game import PayoffParams, compute_scores, pair_payoff
+from .game import PayoffParams, compute_scores
 from .grid import (
     Grid,
     Strategy,
     coop_count,
     format_snapshot,
     grid_hash,
-    neighbours,
     parse_snapshot,
     random_grid,
 )

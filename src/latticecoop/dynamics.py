@@ -8,7 +8,6 @@ randomness in a documented per-agent order so runs are seed-reproducible.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,19 +51,6 @@ UpdateRule = Union[Deterministic, Fermi]
 
 # Config kind name -> update rule class.
 RULES = {"deterministic": Deterministic, "fermi": Fermi}
-
-
-def fermi_probability(f_a: float, f_b: float, k: float) -> float:
-    """Probability that agent A (score f_a) copies neighbour B (score f_b).
-
-    Evaluates (1 + exp((f_a - f_b) / K))^-1 as ``game.logistic``, so extreme
-    score gaps saturate to 0.0 or 1.0 without overflow.
-    """
-    if not k > 0.0:
-        raise ValueError(f"noise amplitude K must be > 0, got {k}")
-    if not (math.isfinite(f_a) and math.isfinite(f_b)):
-        raise ValueError(f"scores must be finite, got f_a={f_a}, f_b={f_b}")
-    return logistic((f_b - f_a) / k)
 
 
 def _is_score_table(g: Grid, scores: np.ndarray) -> bool:
@@ -144,7 +130,7 @@ def step_fermi(g: Grid, scores: np.ndarray, rule: Fermi, rng: np.random.Generato
     * neighbour: index floor(4 * u_n) into the N, E, S, W neighbour list
       (self is never selected);
     * acceptance: copy the chosen neighbour's strategy iff
-      u_a < fermi_probability(own score, neighbour score, K).
+      u_a < 1 / (1 + exp((own score - neighbour score) / K)).
 
     ``scores`` come in one of two forms. Per cell, shaped like the grid and of
     any real dtype, they are compared as float64. As the ten scores by code

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, Strategy, _frozen, check_field_types
+from .grid import Grid, _frozen, check_field_types
 
 # Score of one agent per generation is the sum over 4 encounters.
 REWARD = 1.0
@@ -51,13 +51,6 @@ def logistic(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     except OverflowError:
         return 0.0
-
-
-def pair_payoff(me: Strategy, other: Strategy, params: PayoffParams) -> float:
-    """Payoff to ``me`` from a single encounter with ``other``."""
-    if me == Strategy.C:
-        return REWARD if other == Strategy.C else SUCKER
-    return params.b if other == Strategy.C else params.punishment
 
 
 @lru_cache(maxsize=256)

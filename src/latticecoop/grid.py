@@ -159,25 +159,6 @@ def check_field_types(obj) -> None:
         object.__setattr__(obj, name, value)
 
 
-def neighbours(i: int, side_length: int) -> tuple[int, int, int, int]:
-    """Von Neumann neighbours of agent ``i`` in fixed (N, E, S, W) order.
-
-    Indices are row-major on the torus: agent i sits at row i // L,
-    column i % L, and the lattice wraps modulo L in both directions.
-    """
-    length = side_length
-    if length < MIN_SIDE_LENGTH:
-        raise ValueError(f"side length must be >= {MIN_SIDE_LENGTH}, got {length}")
-    if not 0 <= i < length * length:
-        raise ValueError(f"agent index {i} out of range for L={length}")
-    r, c = divmod(i, length)
-    north = ((r - 1) % length) * length + c
-    east = r * length + (c + 1) % length
-    south = ((r + 1) % length) * length + c
-    west = r * length + (c - 1) % length
-    return north, east, south, west
-
-
 def neighbour_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each cell's (N, E, S, W) neighbour values as read-only views of one
     (L+2, L+2) copy of ``values`` inside a one-cell halo that wraps the torus.

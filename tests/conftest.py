@@ -2,17 +2,60 @@
 
 The oracles re-derive every rule with plain per-agent loops over
 ``neighbours(i, L)``, deliberately avoiding the vectorised code paths they
-are used to check.
+are used to check. ``neighbours``, ``pair_payoff`` and ``fermi_probability``
+are the per-agent reference forms of the lattice, the game and the Fermi
+rule; the package itself works on whole grids and by-code tables.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
-from latticecoop.game import PayoffParams, pair_payoff
-from latticecoop.grid import Grid, Strategy, neighbours
+from latticecoop.game import REWARD, SUCKER, PayoffParams, logistic
+from latticecoop.grid import MIN_SIDE_LENGTH, Grid, Strategy
 from latticecoop.interference import Neb, NoInterference, Pop
+
+
+def neighbours(i: int, side_length: int) -> tuple[int, int, int, int]:
+    """Von Neumann neighbours of agent ``i`` in fixed (N, E, S, W) order.
+
+    Indices are row-major on the torus: agent i sits at row i // L,
+    column i % L, and the lattice wraps modulo L in both directions.
+    """
+    length = side_length
+    if length < MIN_SIDE_LENGTH:
+        raise ValueError(f"side length must be >= {MIN_SIDE_LENGTH}, got {length}")
+    if not 0 <= i < length * length:
+        raise ValueError(f"agent index {i} out of range for L={length}")
+    r, c = divmod(i, length)
+    north = ((r - 1) % length) * length + c
+    east = r * length + (c + 1) % length
+    south = ((r + 1) % length) * length + c
+    west = r * length + (c - 1) % length
+    return north, east, south, west
+
+
+def pair_payoff(me: Strategy, other: Strategy, params: PayoffParams) -> float:
+    """Payoff to ``me`` from a single encounter with ``other``."""
+    if me == Strategy.C:
+        return REWARD if other == Strategy.C else SUCKER
+    return params.b if other == Strategy.C else params.punishment
+
+
+def fermi_probability(f_a: float, f_b: float, k: float) -> float:
+    """Probability that agent A (score f_a) copies neighbour B (score f_b).
+
+    Evaluates (1 + exp((f_a - f_b) / K))^-1 as ``game.logistic``, so extreme
+    score gaps saturate to 0.0 or 1.0 without overflow.
+    """
+    if not k > 0.0:
+        raise ValueError(f"noise amplitude K must be > 0, got {k}")
+    if not (math.isfinite(f_a) and math.isfinite(f_b)):
+        raise ValueError(f"scores must be finite, got f_a={f_a}, f_b={f_b}")
+    return logistic((f_b - f_a) / k)
 
 
 # At b=1.5 and b=2.0 an invested cooperator's score k + theta equals a
@@ -189,8 +232,6 @@ def step_fermi_bruteforce(
     The draws come from ``default_rng(seed)`` unless ``draws``, a (Z, 3)
     array of (mutation, neighbour, acceptance) uniforms, gives them.
     """
-    import math
-
     length = g.side_length
     flat = g.cells.reshape(-1)
     score_flat = scores.reshape(-1)

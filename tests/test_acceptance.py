@@ -18,7 +18,7 @@ from latticecoop.analysis import (
     microscopic_check,
     verify_thresholds,
 )
-from latticecoop.dynamics import Deterministic, Fermi, fermi_probability
+from latticecoop.dynamics import Deterministic, Fermi
 from latticecoop.engine import (
     RunConfig,
     Termination,
@@ -36,6 +36,8 @@ from latticecoop.grid import (
     random_grid,
 )
 from latticecoop.interference import Neb, NebI, NebII, Pop, apply
+
+from conftest import fermi_probability
 
 B = 1.8
 PAY = PayoffParams(b=B)

@@ -24,6 +24,11 @@ from latticecoop.engine import MAX_SIDE_LENGTH
 from latticecoop.interference import SCHEMES, Neb
 
 import numpy as np
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+README = ROOT / "README.md"
 
 RUN_CONFIG = """
 model:
@@ -96,14 +101,46 @@ def test_round_trip_fermi_and_sweep_configs(tmp_path):
 
 
 def test_bundled_example_configs_parse():
-    import pathlib
-
-    config_dir = pathlib.Path(__file__).resolve().parent.parent / "configs"
-    paths = sorted(config_dir.glob("*.yaml"))
+    paths = sorted(CONFIGS.glob("*.yaml"))
     assert len(paths) >= 3
     for path in paths:
         cfg = load_config(path)
         assert parse_config_text(emit_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+def test_bundled_config_runs_through_its_command(tmp_path, name):
+    # each paper experiment at L=10 with one replicate, through the command
+    # README gives for it: sweep for a config with a sweep section, else run
+    data = yaml.safe_load((CONFIGS / name).read_text(encoding="utf-8"))
+    data["model"]["side_length"] = 10
+    data["protocol"]["replicates"] = 1
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    command = "sweep" if "sweep" in data else "run"
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "runs"), "--workers", "1"]
+    assert main(argv) == EXIT_OK
+    config = load_config(path)
+    (run_dir,) = run_dirs(tmp_path)
+    assert run_dir.name == f"{config.label}-{config_hash(config)}"
+    assert config_hash(load_config(run_dir / "config.yaml")) == config_hash(config)
+    names = sorted(p.name for p in run_dir.iterdir())
+    if command == "sweep":
+        assert names == ["config.yaml", "metadata.json", "sweep.csv"]
+        spec = config.sweep_spec()
+        with open(run_dir / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + len(spec.theta_values) * len(spec.threshold_values)
+    else:
+        assert names == ["config.yaml", "final_grid_rep000.txt", "metrics.csv"]
+        with open(run_dir / "metrics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1 and {row[0] for row in rows[1:]} == {"rep000"}
+
+
+def test_readme_names_every_bundled_config():
+    named = set(re.findall(r"configs/([\w.-]+\.yaml)", README.read_text(encoding="utf-8")))
+    assert named == {p.name for p in CONFIGS.glob("*.yaml")}
 
 
 def test_config_field_errors():
@@ -205,7 +242,7 @@ def test_pop_count_form_outside_2_to_z_names_its_range(p_c):
 
 
 def test_sweep_runs_the_base_run_and_replicates_of_its_config():
-    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "pop_sweep.yaml")
+    config = load_config(CONFIGS / "pop_sweep.yaml")
     smaller = replace(config, run=replace(config.run, side_length=20))
     assert config_hash(smaller) != config_hash(config)
     assert smaller.sweep_spec().base == smaller.run
@@ -332,21 +369,38 @@ def test_cmd_run_missing_field_exits_config(tmp_path, capsys):
     assert "scheme.theta" in capsys.readouterr().err
 
 
+DETERMINISTIC = "{kind: deterministic}"
+
+
 @pytest.mark.parametrize(
-    "model, scheme, expected",
+    "model, scheme, expected, rule",
     [
-        ("{side_length: 2, b: 1.8}", "{kind: none}", ("model", "side_length")),
+        ("{side_length: 2, b: 1.8}", "{kind: none}", ("model", "side_length"), DETERMINISTIC),
         (
             "{side_length: 10, b: 1.8, initial_coop_probability: 1.5}",
             "{kind: none}",
             ("model", "initial_coop_probability"),
+            DETERMINISTIC,
         ),
-        ("{side_length: 10, b: 1.8}", "{kind: neb, n_c: 3, theta: .nan}", ("scheme", "theta")),
+        (
+            "{side_length: 10, b: 1.8}",
+            "{kind: neb, n_c: 3, theta: .nan}",
+            ("scheme", "theta"),
+            DETERMINISTIC,
+        ),
+        (
+            "{side_length: 10, b: 1.8}",
+            "{kind: neb, n_c: 3, theta: -1}",
+            ("scheme", "theta"),
+            DETERMINISTIC,
+        ),
+        ("{side_length: 10, b: 1.8}", "{kind: none}", ("rule", "K"), "{kind: fermi, K: 0}"),
+        ("{side_length: 10, b: 3}", "{kind: none}", ("model", "temptation b"), DETERMINISTIC),
     ],
 )
-def test_cmd_run_invalid_value_exits_config(tmp_path, capsys, model, scheme, expected):
+def test_cmd_run_invalid_value_exits_config(tmp_path, capsys, model, scheme, expected, rule):
     path = tmp_path / "bad.yaml"
-    path.write_text(f"model: {model}\nscheme: {scheme}\nrule: {{kind: deterministic}}\n")
+    path.write_text(f"model: {model}\nscheme: {scheme}\nrule: {rule}\n")
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert all(word in err for word in expected), err

@@ -19,7 +19,6 @@ from latticecoop.dynamics import (
     Deterministic,
     Fermi,
     _neighbour_index,
-    fermi_probability,
     step,
     step_deterministic,
     step_fermi,
@@ -32,14 +31,16 @@ from latticecoop.game import (
     key_table,
     score_table,
 )
-from latticecoop.grid import Grid, Strategy, coop_count, neighbours
+from latticecoop.grid import Grid, Strategy, coop_count
 from latticecoop.interference import NebI, NebII, Pop, apply
 
 from conftest import (
     QUARTER_EDGES,
     TIE_THETAS,
+    fermi_probability,
     grids,
     homogeneous_grids,
+    neighbours,
     step_deterministic_bruteforce,
     step_fermi_bruteforce,
 )

@@ -24,8 +24,8 @@ from latticecoop.engine import (
     step_generation,
     write_metrics_csv,
 )
-from latticecoop.game import PayoffParams, compute_scores, pair_payoff
-from latticecoop.grid import Grid, Strategy, grid_hash, neighbours, random_grid
+from latticecoop.game import PayoffParams, compute_scores
+from latticecoop.grid import Grid, Strategy, grid_hash, random_grid
 from latticecoop.interference import Neb, NebI, NebII, NoInterference, Pop
 
 from conftest import (
@@ -37,6 +37,8 @@ from conftest import (
     homogeneous_grids,
     neb_i_bruteforce,
     neb_ii_bruteforce,
+    neighbours,
+    pair_payoff,
     pop_fires_bruteforce,
     scores_bruteforce,
     step_deterministic_bruteforce,

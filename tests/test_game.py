@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecoop.analysis import lone_defector_grid
-from latticecoop.dynamics import fermi_probability
 from latticecoop.game import (
     PayoffParams,
     acceptance_table,
@@ -12,12 +11,19 @@ from latticecoop.game import (
     compute_scores,
     key_table,
     logistic,
-    pair_payoff,
     score_table,
 )
-from latticecoop.grid import Grid, Strategy, neighbours
+from latticecoop.grid import Grid, Strategy
 
-from conftest import TIE_THETAS, grids, payoffs, scores_bruteforce
+from conftest import (
+    TIE_THETAS,
+    fermi_probability,
+    grids,
+    neighbours,
+    pair_payoff,
+    payoffs,
+    scores_bruteforce,
+)
 
 C, D = Strategy.C, Strategy.D
 

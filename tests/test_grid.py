@@ -17,12 +17,11 @@ from latticecoop.grid import (
     format_snapshot,
     grid_hash,
     neighbour_field,
-    neighbours,
     parse_snapshot,
     random_grid,
 )
 
-from conftest import QUARTER_EDGES, grids
+from conftest import QUARTER_EDGES, grids, neighbours
 
 
 def all_c(side):
