@@ -14,6 +14,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import verify_thresholds
 from .config import (
     ConfigError,
@@ -125,9 +127,9 @@ def cmd_run(args) -> int:
                 f"{run_id}: coop={result.stationary_coop_fraction} "
                 f"total_cost={result.total_cost} termination={result.termination.value}"
             )
-        if len(results) > 1:
-            mean_coop = sum(r.stationary_coop_fraction for r in results) / len(results)
-            mean_cost = sum(r.total_cost for r in results) / len(results)
+        if len(results) > 1:  # means as analysis.aggregate takes them
+            mean_coop = float(np.mean([r.stationary_coop_fraction for r in results]))
+            mean_cost = float(np.mean([r.total_cost for r in results]))
             print(f"mean over {len(results)} replicates: coop={mean_coop} total_cost={mean_cost}")
     return EXIT_OK
 

@@ -111,24 +111,23 @@ def step_generation(
     """Advance one generation; returns (next grid, interference cost paid).
 
     A homogeneous grid steps as a ``none`` generation: it is absorbing
-    without mutation, so investing there is pure waste. After a flat
-    investment (none, pop, neb: ``n_c`` set) a cell's score follows from its
-    code, so the rule steps on the ten scores by code (``game.score_table``)
-    and builds no float scores. ``neb_i`` and ``neb_ii`` step on the per-cell
-    float scores ``base + surplus``.
+    without mutation, so investing there is pure waste. The rule steps on
+    base score plus surplus, both in the surplus's form: after a flat
+    investment (none, pop, neb) the ten by code (``game.score_table``), so no
+    float scores are built; after ``neb_i`` and ``neb_ii`` one per cell.
     """
     if is_homogeneous(g) is not None:
         scheme = NoInterference()
     outcome = apply(scheme, g, payoff)
-    if outcome.n_c is None:
-        scores = compute_scores(g, payoff) + outcome.surplus
-    else:
+    if outcome.surplus.ndim == 1:  # by code
         if isinstance(rule, Deterministic):
             # The key path reads no base scores: they are computed there only while
             # perfbench taps compute_scores (ROADMAP item 1).
             compute_scores(g, payoff)
-        scores = score_table(payoff, outcome.theta, outcome.n_c)
-    return step(g, scores, rule, rng), outcome.generation_cost
+        base = score_table(payoff)
+    else:
+        base = compute_scores(g, payoff)
+    return step(g, base + outcome.surplus, rule, rng), outcome.generation_cost
 
 
 def run(config: RunConfig) -> RunResult:

@@ -54,21 +54,16 @@ def logistic(x: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def score_table(params: PayoffParams, theta: float = 0.0, n_c: int = 4) -> np.ndarray:
-    """The ten scores by a cell's code ``5 * strategy + k``, after a flat investment
-    of ``theta`` in each cooperator with k <= n_c (by default none: the base scores).
+def score_table(params: PayoffParams) -> np.ndarray:
+    """The ten base scores by a cell's code ``5 * strategy + k``.
 
     A defector with k cooperating neighbours scores k*b + (4-k)*P, a
-    cooperator with k cooperating neighbours scores exactly k, plus ``theta``
-    if paid. Each entry is the float that ``base + surplus`` holds for such a
-    cell, so a lookup in this table equals that sum bit for bit.
+    cooperator with k cooperating neighbours scores exactly k. Each entry is
+    the float that ``compute_scores`` gives such a cell.
     """
     k = np.arange(5)
     defect = k * params.b + (4 - k) * params.punishment
-    table = np.concatenate((defect, k * REWARD + (4 - k) * SUCKER))
-    table[5 : 6 + n_c] += theta
-    table.setflags(write=False)
-    return table
+    return _frozen(np.concatenate((defect, k * REWARD + (4 - k) * SUCKER)))
 
 
 def key_table(scores: np.ndarray) -> np.ndarray:

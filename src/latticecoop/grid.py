@@ -232,8 +232,8 @@ def grid_hash(g: Grid) -> int:
 
 def random_grid(
     side_length: int,
-    coop_probability: float = 0.5,
-    rng: np.random.Generator | None = None,
+    coop_probability: float,
+    rng: np.random.Generator,
     exact_fraction: bool = False,
 ) -> Grid:
     """Random initial grid, each cell independently C with ``coop_probability``.
@@ -248,8 +248,6 @@ def random_grid(
         raise ValueError(f"side length must be >= {MIN_SIDE_LENGTH}, got {side_length}")
     if not 0.0 <= coop_probability <= 1.0:
         raise ValueError(f"coop_probability must be in [0, 1], got {coop_probability}")
-    if rng is None:
-        rng = np.random.default_rng()
     z = side_length * side_length
     if exact_fraction:
         n_coop = round(coop_probability * z)

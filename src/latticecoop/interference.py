@@ -25,7 +25,7 @@ its code and its neighbours' codes, in small tables built once per
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -119,54 +119,48 @@ SCHEMES = {"none": NoInterference, "pop": Pop, "neb": Neb, "neb_i": NebI, "neb_i
 
 @dataclass(frozen=True, eq=False)
 class InvestmentOutcome:
-    """Per-agent surplus plus the decision-maker's total cost this generation.
+    """The surplus paid this generation and the decision-maker's total cost.
 
-    ``generation_cost`` equals ``float(surplus.sum())`` bit for bit. Flat
-    schemes (none, pop, neb) pay one amount ``theta`` to each cooperator with
-    at most ``n_c`` cooperating neighbours, so a cell's surplus follows from
-    its code: their ``surplus`` is built from the grid each time it is read,
-    and their cost comes from the number of paid cooperators where that is
-    exact (see ``flat``). The others leave ``n_c`` None.
+    ``surplus`` is read-only float64 in one of the two forms the update rules
+    take scores in. Flat schemes (none, pop, neb) pay one amount to chosen
+    cooperators by their code, so theirs is the ten surpluses by code
+    ``5 * strategy + k`` (``_flat_table``); neb_i and neb_ii pay per cell, so
+    theirs is shaped like the grid. ``generation_cost`` equals the per-cell
+    surplus summed, bit for bit.
     """
 
     generation_cost: float
-    theta: float = 0.0
-    n_c: int | None = None
-    _grid: Grid | None = field(default=None, repr=False)
-    _surplus: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def surplus(self) -> np.ndarray:
-        """Per-agent surplus, a read-only float64 array shaped like the grid."""
-        if self._surplus is None:
-            return _flat_surplus(self._grid, self.theta, self.n_c)
-        return self._surplus
+    surplus: np.ndarray
 
     @classmethod
     def from_surplus(cls, surplus: np.ndarray) -> "InvestmentOutcome":
         surplus = _frozen(np.ascontiguousarray(surplus, dtype=np.float64))
-        return cls(float(surplus.sum()), _surplus=surplus)
+        return cls(float(surplus.sum()), surplus)
 
     @classmethod
     def flat(cls, g: Grid, theta: float, n_c: int = 4) -> "InvestmentOutcome":
         """``theta`` to each cooperator with k <= n_c, nothing to the rest.
 
-        Every partial sum of the surplus, in any order, is ``j * theta`` for
-        some count j <= Z. Write theta = m * 2**e with m odd: if m * Z < 2**53,
-        each ``j * m`` fits the 53-bit significand, so every partial sum is
-        exact (or, past the largest float, inf) and the sum NumPy computes is
-        ``float(paid) * theta`` rounded once. Any other theta sums the array.
+        Every partial sum of the per-cell surplus, in any order, is
+        ``j * theta`` for some count j <= Z. Write theta = m * 2**e with m odd:
+        if m * Z < 2**53, each ``j * m`` fits the 53-bit significand, so every
+        partial sum is exact (or, past the largest float, inf) and the sum
+        NumPy computes is ``float(paid) * theta`` rounded once. Any other theta
+        sums the per-cell surplus.
         """
         theta = float(theta)
+        table = _flat_table(theta, n_c)
         if theta == 0.0 or _odd_part(theta) * g.size < 2**53:
-            return cls(float(_paid_count(g, n_c)) * theta, theta, n_c, _grid=g)
-        surplus = _flat_surplus(g, theta, n_c)
-        return cls(float(surplus.sum()), theta, n_c, _surplus=surplus)
+            return cls(float(_paid_count(g, n_c)) * theta, table)
+        return cls(float(by_code(g.code, table).sum()), table)
 
 
-def _flat_surplus(g: Grid, theta: float, n_c: int) -> np.ndarray:
-    invested = g.cells if n_c >= 4 else g.cells & (g.code <= 5 + n_c)
-    return _frozen(invested * theta)  # C is 1, D is 0
+@lru_cache(maxsize=256)
+def _flat_table(theta: float, n_c: int) -> np.ndarray:
+    """The flat surplus by code: ``theta`` to cooperators (codes 5..9) with k <= n_c."""
+    table = np.zeros(10)
+    table[5 : 6 + n_c] = theta
+    return _frozen(table)
 
 
 def _odd_part(theta: float) -> int:

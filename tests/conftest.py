@@ -202,6 +202,22 @@ def flat_surplus_bruteforce(g: Grid, scheme) -> np.ndarray:
     return surplus.reshape(length, length)
 
 
+def paid_score_table(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
+    """The ten scores by code ``5 * strategy + k`` after a flat investment of
+    ``theta`` in each cooperator that ``flat_paid_bruteforce`` pays under
+    neb(n_c, theta), one code at a time: k encounters with a cooperator and
+    4 - k with a defector, plus ``theta`` if paid."""
+    scheme = Neb(n_c=n_c, theta=theta) if theta else NoInterference()
+    table = []
+    for me in (Strategy.D, Strategy.C):
+        with_c, with_d = pair_payoff(me, Strategy.C, params), pair_payoff(me, Strategy.D, params)
+        for k in range(5):
+            base = k * with_c + (4 - k) * with_d
+            paid = flat_paid_bruteforce(scheme, me.value, k, pop_fires=False)
+            table.append(base + theta if paid else base)
+    return np.array(table)
+
+
 def step_deterministic_bruteforce(g: Grid, scores: np.ndarray) -> Grid:
     length = g.side_length
     flat = g.cells.reshape(-1)

@@ -287,18 +287,19 @@ def test_criterion_8_property_suite(tmp_path):
         rec.generation_cost for rec in result.records
     )
 
-    # no defector paid, all schemes
+    # no defector paid, all schemes: pop and neb pay by code, neb_i and neb_ii per cell
     g = random_grid(30, 0.5, np.random.default_rng(9))
+    defectors = g.cells == Strategy.D.value
     checks["no_defector_paid"] = all(
-        not np.any(apply(s, g, PAY).surplus[g.cells == Strategy.D.value] > 0)
-        for s in (
+        not np.any(apply(s, g, PAY).surplus[:5] > 0) for s in (
             Pop(p_c=1.0, theta=2.0),
             Pop(p_c=0.3, theta=2.0),
             Neb(n_c=4, theta=2.0),
             Neb(n_c=1, theta=2.0),
-            NebI(eps=0.2),
-            NebII(eps=0.2),
         )
+    ) and all(
+        not np.any(apply(s, g, PAY).surplus[defectors] > 0)
+        for s in (NebI(eps=0.2), NebII(eps=0.2))
     )
 
     # absorption: homogeneous stays homogeneous at zero cost

@@ -20,7 +20,7 @@ from latticecoop.config import (
 )
 from latticecoop.grid import format_snapshot, random_grid
 from latticecoop.dynamics import RULES
-from latticecoop.engine import MAX_SIDE_LENGTH
+from latticecoop.engine import MAX_SIDE_LENGTH, run_replicates
 from latticecoop.interference import SCHEMES, Neb
 
 import numpy as np
@@ -141,6 +141,13 @@ def test_bundled_config_runs_through_its_command(tmp_path, name):
 def test_readme_names_every_bundled_config():
     named = set(re.findall(r"configs/([\w.-]+\.yaml)", README.read_text(encoding="utf-8")))
     assert named == {p.name for p in CONFIGS.glob("*.yaml")}
+
+
+def test_readme_python_example_runs():
+    (example,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    namespace = {}
+    exec(compile(example, str(README), "exec"), namespace)
+    assert [label for label, _ in namespace["table"]] == ["neb3", "neb4"]
 
 
 def test_config_field_errors():
@@ -276,6 +283,21 @@ def test_cmd_run_end_to_end(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][0] == "run_id"
     assert {row[0] for row in rows[1:]} == {"rep000", "rep001"}
+
+
+def test_cmd_run_prints_the_replicate_means_of_aggregate(tmp_path, capsys):
+    # over 8 replicates NumPy's pairwise sum of the costs differs from a
+    # left-to-right sum; the printed means are aggregate's
+    path = write_config(tmp_path, RUN_CONFIG.replace("replicates: 2", "replicates: 8"))
+    assert main(["run", "--config", str(path), "--workers", "1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    config = load_config(path)
+    results = run_replicates(config.run_config(), config.replicates)
+    costs = [r.total_cost for r in results]
+    assert sum(costs) / len(costs) != float(np.mean(costs))
+    cell = analysis.aggregate(results, 5.3, 3)
+    assert (f"mean over 8 replicates: coop={cell.mean_coop_fraction} "
+            f"total_cost={cell.mean_total_cost}\n") in out
 
 
 def test_cmd_run_reproducible_bytes(tmp_path):

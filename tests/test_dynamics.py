@@ -41,6 +41,7 @@ from conftest import (
     grids,
     homogeneous_grids,
     neighbours,
+    paid_score_table,
     step_deterministic_bruteforce,
     step_fermi_bruteforce,
 )
@@ -123,8 +124,10 @@ def test_step_deterministic_homogeneous_fixed():
 
 
 def _invested_scores(g, b, theta):
+    # pop pays by code: the ten surpluses add to the ten base scores
     payoff = PayoffParams(b=b)
-    return compute_scores(g, payoff) + apply(Pop(p_c=1.0, theta=theta), g, payoff).surplus
+    surplus = apply(Pop(p_c=1.0, theta=theta), g, payoff).surplus
+    return by_code(g.code, score_table(payoff) + surplus)
 
 
 def test_step_deterministic_lone_defector_converts_above_threshold():
@@ -149,7 +152,7 @@ def test_step_deterministic_matches_bruteforce(g, theta):
         expected = step_deterministic_bruteforce(g, scores)
         assert step_deterministic(g, scores) == expected
         # the uint8 ranks of the same scores (pop with p_c=1 pays every cooperator)
-        ranks = (key_table(score_table(PayoffParams(b=b), theta, 4)) >> 4).take(g.code)
+        ranks = (key_table(paid_score_table(PayoffParams(b=b), theta, 4)) >> 4).take(g.code)
         assert step_deterministic(g, ranks) == expected
 
 
@@ -193,10 +196,10 @@ def test_step_deterministic_results_own_read_only_cells(g, b, theta, n_c):
     payoff = PayoffParams(b=b)
     # uint8 ranks (below 16) and the same ranks raised by 16 take the running
     # maximum like float scores
-    ranks = by_code(g.code, key_table(score_table(payoff, theta, n_c)) >> 4)
+    ranks = by_code(g.code, key_table(paid_score_table(payoff, theta, n_c)) >> 4)
     assert ranks.max() < 16
     high = ranks + np.uint8(16)
-    floats = by_code(g.code, score_table(payoff, theta, n_c))
+    floats = by_code(g.code, paid_score_table(payoff, theta, n_c))
     for scores in (ranks, high, floats):
         _assert_owns_fresh_cells(step_deterministic(g, scores), g, scores)
 
@@ -211,7 +214,7 @@ def test_step_deterministic_results_own_read_only_cells(g, b, theta, n_c):
 def test_step_deterministic_on_key_table_matches_bruteforce(g, b, theta, n_c):
     # looking each cell's key up by code must give the grid of the oracle on
     # the scores those codes stand for, and a grid of its own
-    table = score_table(PayoffParams(b=b), theta, n_c)
+    table = paid_score_table(PayoffParams(b=b), theta, n_c)
     scores = by_code(g.code, table)
     got = step_deterministic(g, table)
     assert got == step_deterministic_bruteforce(g, scores)
@@ -244,7 +247,7 @@ def test_step_deterministic_rejects_bad_inputs():
 )
 def test_step_fermi_results_own_read_only_cells(g, b, theta, n_c, mu, seed):
     rule = Fermi(K=0.1, mu=mu)
-    table = score_table(PayoffParams(b=b), theta, n_c)
+    table = paid_score_table(PayoffParams(b=b), theta, n_c)
     scores = by_code(g.code, table)
     for given, read in ((table, acceptance_table(table, rule.K)), (scores, scores)):
         _assert_owns_fresh_cells(step_fermi(g, given, rule, np.random.default_rng(seed)), g, read)
@@ -307,7 +310,11 @@ def test_step_fermi_matches_sequential_replay_on_invested_scores(g, scheme, mu, 
     # the replay must also hold for base + surplus, the scores the engine passes
     for b in TIE_BS:
         payoff = PayoffParams(b=b)
-        scores = compute_scores(g, payoff) + apply(scheme, g, payoff).surplus
+        surplus = apply(scheme, g, payoff).surplus
+        if isinstance(scheme, Pop):  # paid by code
+            scores = by_code(g.code, score_table(payoff) + surplus)
+        else:
+            scores = compute_scores(g, payoff) + surplus
         got = step_fermi(g, scores, Fermi(K=0.3, mu=mu), np.random.default_rng(seed))
         assert got == step_fermi_bruteforce(g, scores, 0.3, mu, seed)
 
@@ -364,7 +371,7 @@ def test_neighbour_index_keeps_one_side_length():
 def test_step_fermi_on_acceptance_table_matches_replay(g, b, theta, n_c, k, mu, seed):
     # looking acceptance up by (own code, neighbour code) must give the grid of
     # the replay, and of the float path, on the scores those codes stand for
-    table = score_table(PayoffParams(b=b), theta, n_c)
+    table = paid_score_table(PayoffParams(b=b), theta, n_c)
     scores = by_code(g.code, table)
     rule = Fermi(K=k, mu=mu)
     got = step_fermi(g, table, rule, np.random.default_rng(seed))
@@ -432,7 +439,7 @@ def test_step_fermi_at_draw_boundaries_matches_replay(side, mu, b):
     for k, seed in itertools.product((0.3, 1e-300), range(4)):
         rule = Fermi(K=k, mu=mu)
         g = Grid(np.random.default_rng(seed).integers(0, 2, (side, side), dtype=np.uint8))
-        table = score_table(payoff, 3.0, 2)
+        table = paid_score_table(payoff, 3.0, 2)
         table_scores = by_code(g.code, table)
         draws = boundary_draws(g, table_scores, k, mu)
         expected = step_fermi_bruteforce(g, table_scores, k, mu, draws=draws)

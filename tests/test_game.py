@@ -20,6 +20,7 @@ from conftest import (
     fermi_probability,
     grids,
     neighbours,
+    paid_score_table,
     pair_payoff,
     payoffs,
     scores_bruteforce,
@@ -148,7 +149,7 @@ def test_default_params_score_formula(g):
 
 def _ranks(params: PayoffParams, theta: float, n_c: int) -> np.ndarray:
     """The dense ranks by code that ``key_table`` keys on, above the strategy bits."""
-    return key_table(score_table(params, theta, n_c)) >> 4
+    return key_table(paid_score_table(params, theta, n_c)) >> 4
 
 
 @pytest.mark.parametrize("b, theta", [(2.0, 1.0), (1.5, 0.5), (1.8, 0.3), (1.8, 1e-300)])
@@ -182,9 +183,9 @@ def test_key_table_is_sixteen_times_the_dense_rank_plus_strategy(b, punishment):
     params = PayoffParams(b=b, punishment=punishment)
     for theta in (*TIE_THETAS, 4 * b - 4, 4 * b - 3, 4 * b - 2):
         for n_c in range(5):
-            scores = score_table(params, theta, n_c).tolist()
+            scores = paid_score_table(params, theta, n_c).tolist()
             levels = sorted(set(scores))
-            keys = key_table(score_table(params, theta, n_c))
+            keys = key_table(paid_score_table(params, theta, n_c))
             assert keys.dtype == np.uint8 and not keys.flags.writeable
             assert keys.tolist() == [16 * levels.index(s) + (code >= 5)
                                      for code, s in enumerate(scores)], (theta, n_c)
@@ -222,8 +223,8 @@ def test_acceptance_table_equals_fermi_probability_bit_for_bit(b, punishment, k)
     params = PayoffParams(b=b, punishment=punishment)
     for theta in (0.0, 0.5, 1.0, 3.0, 5.3):
         for n_c in range(5):
-            table = score_table(params, theta, n_c).tolist()
-            accept = acceptance_table(score_table(params, theta, n_c), k)
+            table = paid_score_table(params, theta, n_c).tolist()
+            accept = acceptance_table(paid_score_table(params, theta, n_c), k)
             assert accept.shape == (100,) and not accept.flags.writeable
             # cached by value: an equal score table gives the same object
             assert acceptance_table(np.array(table), k) is accept

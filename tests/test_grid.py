@@ -285,7 +285,7 @@ def test_grid_crosses_pickle_and_copy_as_a_frozen_equal_value(g, seed):
 
 
 def test_pickled_grid_carries_its_cells_alone_and_is_checked_on_arrival():
-    g = random_grid(5, rng=np.random.default_rng(0))
+    g = random_grid(5, 0.5, np.random.default_rng(0))
     func, args = g.__reduce__()
     assert func is Grid and len(args) == 1 and args[0] is g.cells
 

@@ -30,10 +30,16 @@ from conftest import (
     grids,
     neb_i_bruteforce,
     neb_ii_bruteforce,
+    paid_score_table,
     payoffs,
 )
 
 C, D = Strategy.C, Strategy.D
+
+
+def per_cell(g, out):
+    """``out``'s surplus per cell: flat schemes give the ten by code."""
+    return by_code(g.code, out.surplus) if out.surplus.shape == (10,) else out.surplus
 
 
 def make_grid(side, defectors=()):
@@ -73,7 +79,7 @@ def test_schemes_reject_non_finite_amounts(value):
 def test_pop_invests_in_every_cooperator():
     g = make_grid(10)
     out = apply_pop(g, Pop(p_c=1.0, theta=0.5))
-    assert np.all(out.surplus == 0.5)
+    assert np.all(by_code(g.code, out.surplus) == 0.5)
     assert out.generation_cost == 50.0
 
 
@@ -83,7 +89,7 @@ def test_pop_does_not_invest_above_threshold():
     assert coop_count(g) == 90
     out = apply_pop(g, Pop(p_c=0.85, theta=2.0))
     assert out.generation_cost == 0.0
-    assert np.all(out.surplus == 0.0)
+    assert np.all(out.surplus == 0.0)  # all ten by code
 
 
 def test_pop_all_defectors_costs_nothing():
@@ -104,14 +110,14 @@ def test_pop_threshold_boundary_is_inclusive():
 @given(grids(), st.floats(0.0, 1.0), st.floats(0.1, 8.0))
 def test_pop_is_all_or_nothing(g, p_c, theta):
     out = apply_pop(g, Pop(p_c=p_c, theta=theta))
-    paid = out.surplus[g.cells == C.value]
+    paid = by_code(g.code, out.surplus)[g.cells == C.value]
     assert np.all(paid == theta) or np.all(paid == 0.0)
 
 
 def test_neb_pays_only_boundary_cooperators():
     g = make_grid(10, [(5, 5)])
     out = apply_neb(g, Neb(n_c=3, theta=5.3))
-    paid = np.argwhere(out.surplus > 0)
+    paid = np.argwhere(by_code(g.code, out.surplus) > 0)
     assert {tuple(x) for x in paid} == {(4, 5), (6, 5), (5, 4), (5, 6)}
     assert out.generation_cost == 4 * 5.3
 
@@ -119,7 +125,7 @@ def test_neb_pays_only_boundary_cooperators():
 def test_neb_nc4_pays_all_cooperators():
     g = make_grid(10, [(5, 5)])
     out = apply_neb(g, Neb(n_c=4, theta=2.0))
-    assert np.count_nonzero(out.surplus) == 99
+    assert np.count_nonzero(by_code(g.code, out.surplus)) == 99
     assert out.generation_cost == 99 * 2.0
 
 
@@ -294,9 +300,9 @@ def _schemes():
 @given(grids(), _schemes())
 def test_no_defector_is_ever_paid(g, scheme):
     for payoff in TIE_PAYOFFS:
-        out = apply(scheme, g, payoff)
-        assert np.all(out.surplus[g.cells == D.value] == 0.0)
-        assert np.all(out.surplus >= 0.0)
+        surplus = per_cell(g, apply(scheme, g, payoff))
+        assert np.all(surplus[g.cells == D.value] == 0.0)
+        assert np.all(surplus >= 0.0)
 
 
 @settings(max_examples=80)
@@ -304,7 +310,7 @@ def test_no_defector_is_ever_paid(g, scheme):
 def test_cost_equals_surplus_sum_exactly(g, scheme):
     for payoff in TIE_PAYOFFS:
         out = apply(scheme, g, payoff)
-        assert out.generation_cost == float(out.surplus.sum())
+        assert out.generation_cost == float(per_cell(g, out).sum())
 
 
 @settings(max_examples=60)
@@ -358,29 +364,48 @@ def _flat_thetas(z):
 def test_flat_cost_is_the_surplus_sum_bit_for_bit(g, n_c, data):
     theta = data.draw(_flat_thetas(g.size), label="theta")
     outcome = InvestmentOutcome.flat(g, theta, n_c)
+    assert outcome.surplus.shape == (10,) and outcome.surplus.dtype == np.float64
+    assert not outcome.surplus.flags.writeable
+    surplus = by_code(g.code, outcome.surplus)
     expected = flat_surplus_bruteforce(g, Neb(n_c, theta)) if theta else np.zeros(g.cells.shape)
-    np.testing.assert_array_equal(outcome.surplus, expected)
-    assert outcome.surplus.dtype == np.float64
-    assert np.float64(outcome.generation_cost).tobytes() == outcome.surplus.sum().tobytes()
+    np.testing.assert_array_equal(surplus, expected)
+    assert np.float64(outcome.generation_cost).tobytes() == surplus.sum().tobytes()
 
 
 @settings(max_examples=60)
 @given(grids(3, 9), payoffs(), st.integers(0, 4), st.sampled_from((0.5, 1.0, 3)) | st.floats(0.01, 8.0))
 def test_paid_scores_equal_base_plus_surplus(g, params, n_c, theta):
-    base = compute_scores(g, params)
-    expected = base + apply(Neb(n_c=n_c, theta=theta), g, params).surplus
-    got = by_code(g.code, score_table(params, theta, n_c))
+    # the ten sums by code, looked up per cell, are the per-cell sums bit for bit
+    surplus = apply(Neb(n_c=n_c, theta=theta), g, params).surplus
+    expected = compute_scores(g, params) + by_code(g.code, surplus)
+    got = by_code(g.code, score_table(params) + surplus)
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("b", [1.5, 1.8, 2.0])
+@pytest.mark.parametrize("punishment", [0.0, 0.1])
+def test_base_plus_flat_surplus_is_the_paid_score_table_bit_for_bit(b, punishment):
+    # theta goes to each cooperator with k <= n_c; every other entry keeps the
+    # base score's bits
+    params = PayoffParams(b=b, punishment=punishment)
+    g = random_grid(6, 0.5, np.random.default_rng(2))
+    for theta in (0.1, 0.5, 1.0, 1.5, 2.0):
+        for n_c in range(5):
+            got = score_table(params) + InvestmentOutcome.flat(g, theta, n_c).surplus
+            expected = paid_score_table(params, theta, n_c)
+            assert got.tobytes() == expected.tobytes(), (theta, n_c)
 
 
 @given(payoffs(), st.integers(0, 4))
 def test_score_table_at_zero_theta_is_the_base_table(params, n_c):
-    assert score_table(params, 0.0, n_c).tobytes() == score_table(params).tobytes()
+    g = random_grid(6, 0.5, np.random.default_rng(2))
+    got = score_table(params) + InvestmentOutcome.flat(g, 0.0, n_c).surplus
+    assert got.tobytes() == score_table(params).tobytes()
 
 
 @pytest.mark.parametrize("scheme", [NoInterference(), Neb(n_c=3, theta=2.0), NebI(eps=0.5)])
 def test_outcome_equality_and_hash_do_not_raise(scheme):
-    # flat outcomes hold a Grid, the others a surplus array: both compare by identity
+    # outcomes hold a surplus array, so they compare by identity
     g = random_grid(6, 0.5, np.random.default_rng(1))
     payoff = PayoffParams(b=1.8)
     a, b = apply(scheme, g, payoff), apply(scheme, g, payoff)
