@@ -14,6 +14,7 @@ and re-parsing it yields an identical experiment.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
@@ -33,6 +34,23 @@ MODEL_FIELDS = ("side_length", "initial_coop_probability", "initial_exact_fracti
 PROTOCOL_FIELDS = ("generations", "measure_window", "seed", "early_stop_on_homogeneous")
 OUTPUT_FIELDS = ("output_dir", "label")
 KEYS = {"seed": "base_seed", "output_dir": "directory"}
+
+
+# YAML 1.1 reads a float only with a '.' and a signed exponent, so 1e-3,
+# 3e-1 and 1.7e308 would be strings; these read as floats, as in YAML 1.2.
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
+
+
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that reads every exponent form as a float."""
+
+
+class _Dumper(yaml.SafeDumper):
+    """``yaml.SafeDumper`` that quotes a string ``_Loader`` would read as a float."""
+
+
+for _cls in (_Loader, _Dumper):
+    _cls.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
 
 
 class ConfigError(ValueError):
@@ -219,7 +237,7 @@ def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
 
 def parse_config_text(text: str) -> ExperimentConfig:
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: invalid YAML ({exc})") from exc
     if data is None:
@@ -269,14 +287,14 @@ def config_dict(config: ExperimentConfig) -> dict:
 
 
 def emit_config(config: ExperimentConfig) -> str:
-    return yaml.safe_dump(config_dict(config), sort_keys=True)
+    return yaml.dump(config_dict(config), Dumper=_Dumper, sort_keys=True)
 
 
 def config_hash(config: ExperimentConfig) -> str:
     """8-hex-char digest of the experiment parameters (output section excluded)."""
     doc = config_dict(config)
     doc.pop("output", None)
-    canonical = yaml.safe_dump(doc, sort_keys=True)
+    canonical = yaml.dump(doc, Dumper=_Dumper, sort_keys=True)
     return hashlib.blake2b(canonical.encode(), digest_size=4).hexdigest()
 
 

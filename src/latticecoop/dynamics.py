@@ -157,10 +157,10 @@ def step_fermi(g: Grid, scores: np.ndarray, rule: Fermi, rng: np.random.Generato
         nbr *= g.size
         nbr += differ
         gap = scores.take(_neighbour_index(length).take(nbr)).astype(np.float64, copy=False)
-        gap -= scores.take(differ)
-        gap /= rule.K
         u = u_acc.take(differ)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # an inf gap gives p = 0.0 or 1.0, as game.logistic
+            gap -= scores.take(differ)
+            gap /= rule.K
             accept = 1.0 / (1.0 + np.exp(-gap))
         # np.exp is within a few ulps of libm's, so only a draw this close to
         # p can be decided differently; those take the exact logistic.

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from contextlib import closing
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from itertools import islice, product
 from typing import get_type_hints
@@ -130,49 +130,27 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[Aggregat
     return cells
 
 
-def sweep_metadata(spec: SweepSpec) -> dict:
-    """Sidecar describing the sweep: parameters, seed, timestamp, version."""
-    base = spec.base
-    return {
-        "artifact_version": ARTIFACT_VERSION,
-        "created_unix": time.time(),
-        "scheme_kind": spec.scheme_kind,
-        "theta_values": list(spec.theta_values),
-        "threshold_values": list(spec.threshold_values),
-        "replicates": spec.replicates,
-        "base_seed": base.seed,
-        "cost_normalisation": "raw totals (no 1e7 division applied)",
-        "run_config": {
-            **asdict(base.payoff),
-            **{  # the scalar fields but seed, which is written above
-                f.name: getattr(base, f.name)
-                for f in fields(base)
-                if f.name != "seed" and not is_dataclass(getattr(base, f.name))
-            },
-            "rule": type(base.rule).__name__,
-            "K": getattr(base.rule, "K", None),
-            "mu": getattr(base.rule, "mu", None),
-        },
-    }
-
-
-def write_metadata_json(path, spec: SweepSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sweep_metadata(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_sweep(
     spec: SweepSpec, metadata_path, table_path, workers: int = 1, progress=None
 ) -> list[AggregateCell]:
     """Run ``spec`` into a sweep table CSV whose columns are AggregateCell's fields.
 
-    The metadata sidecar is written first. Each cell's row is written and
-    flushed as ``run_sweep`` finishes it, before ``progress(done, total, cell)``
-    is called; every field is a float or an int, written by ``repr`` so it
-    round-trips.
+    The metadata sidecar is written first and holds provenance only: the
+    output format's version, the creation time and the cost normalisation.
+    The parameters, the cells' seed ``spec.base.seed`` among them, are the
+    experiment's, recorded in its ``config.yaml`` (as ``protocol.base_seed``).
+    Each cell's row is written and flushed as ``run_sweep`` finishes it,
+    before ``progress(done, total, cell)`` is called; every field is a float
+    or an int, written by ``repr`` so it round-trips.
     """
-    write_metadata_json(metadata_path, spec)
+    metadata = {
+        "artifact_version": ARTIFACT_VERSION,
+        "created_unix": time.time(),
+        "cost_normalisation": "raw totals (no 1e7 division applied)",
+    }
+    with open(metadata_path, "w", encoding="utf-8") as fh:
+        json.dump(metadata, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     columns = [f.name for f in fields(AggregateCell)]
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)

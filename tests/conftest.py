@@ -261,7 +261,7 @@ def step_fermi_bruteforce(
             continue
         j = neighbours(i, length)[int(u_nbr * 4)]
         try:
-            p = 1.0 / (1.0 + math.exp((score_flat[i] - score_flat[j]) / k))
+            p = 1.0 / (1.0 + math.exp((float(score_flat[i]) - float(score_flat[j])) / k))
         except OverflowError:  # as game.logistic (and expit): 0.0 past exp's overflow edge
             p = 0.0
         nxt[i] = flat[j] if u_acc < p else flat[i]

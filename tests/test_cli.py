@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import latticecoop
 from latticecoop import analysis
 from latticecoop.analysis import MicroOutcome
 from latticecoop.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_IO, EXIT_OK, main
@@ -143,6 +144,14 @@ def test_readme_names_every_bundled_config():
     assert named == {p.name for p in CONFIGS.glob("*.yaml")}
 
 
+def test_package_version_is_the_pyproject_version():
+    # a regex, not tomllib: the package supports Python 3.10
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (project,) = re.findall(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    (version,) = re.findall(r'^version = "([^"]+)"$', project, re.M)
+    assert latticecoop.__version__ == version
+
+
 def test_readme_python_example_runs():
     (example,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     namespace = {}
@@ -246,6 +255,32 @@ def test_pop_count_form_outside_2_to_z_names_its_range(p_c):
             f"model: {{side_length: 10, b: 1.8}}\nscheme: {{kind: pop, p_c: {p_c}, theta: 4.5}}\n"
             "rule: {kind: deterministic}\n"
         )
+
+
+@pytest.mark.parametrize("text, value", [("1e-3", 1e-3), ("3e-1", 0.3), ("1.7e308", 1.7e308)])
+def test_exponent_floats_read_as_numbers(text, value):
+    # YAML 1.1 reads a float only with a '.' and a signed exponent; each lacks one
+    cfg = parse_config_text(
+        f"model: {{side_length: 10, b: 1.8}}\nscheme: {{kind: neb, n_c: 3, theta: {text}}}\n"
+        f"rule: {{kind: fermi, K: {text}}}\n"
+    )
+    assert cfg.run.scheme.theta == value and cfg.run.rule.K == value
+    assert parse_config_text(emit_config(cfg)) == cfg
+    sweep = parse_config_text(
+        "model: {side_length: 10, b: 1.8}\nscheme: {kind: neb}\nrule: {kind: deterministic}\n"
+        f"sweep: {{theta_values: [{text}], threshold_values: [3]}}\n"
+    )
+    assert sweep.sweep_spec().theta_values == (value,)
+
+
+def test_exponent_form_label_round_trips_quoted():
+    text = "model: {side_length: 10, b: 1.8}\nscheme: {kind: none}\nrule: {kind: deterministic}\n"
+    cfg = parse_config_text(text + "output: {label: '1e3'}\n")
+    assert cfg.label == "1e3"
+    assert "label: '1e3'" in emit_config(cfg)
+    assert parse_config_text(emit_config(cfg)) == cfg
+    with pytest.raises(ConfigError, match=r"^output: label must be a str"):  # as in YAML 1.2
+        parse_config_text(text + "output: {label: 1e3}\n")
 
 
 def test_sweep_runs_the_base_run_and_replicates_of_its_config():
@@ -502,6 +537,34 @@ def test_cmd_sweep_end_to_end(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 4  # header + |theta| * |threshold|
     assert rows[0][0] == "theta"
+
+
+@pytest.mark.parametrize("command, template", [("run", RUN_CONFIG), ("sweep", SWEEP_CONFIG)])
+def test_output_directory_reproduces_itself_from_its_config(tmp_path, command, template):
+    # an output directory's config.yaml alone reruns its experiment: into
+    # another directory, at the other worker count, the data come out byte
+    # for byte under the same name
+    path = write_config(tmp_path, template)
+    assert main([command, "--config", str(path), "--workers", "1"]) == EXIT_OK
+    (first,) = run_dirs(tmp_path)
+    out = tmp_path / "again"
+    argv = [command, "--config", str(first / "config.yaml"), "--out", str(out), "--workers", "2"]
+    assert main(argv) == EXIT_OK
+    (second,) = sorted(out.iterdir())
+    assert second.name == first.name
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    data = [name for name in names if name.endswith((".csv", ".txt"))]
+    if command == "run":
+        assert data == ["final_grid_rep000.txt", "final_grid_rep001.txt", "metrics.csv"]
+    else:
+        assert data == ["sweep.csv"]
+    for name in data:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+    configs = [yaml.safe_load((run_dir / "config.yaml").read_text()) for run_dir in (first, second)]
+    directories = [config["output"].pop("directory") for config in configs]
+    assert directories == [str(tmp_path / "runs"), str(out)]
+    assert configs[0] == configs[1]
 
 
 def test_cmd_sweep_rejects_duplicates(tmp_path, capsys):

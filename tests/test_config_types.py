@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from latticecoop.cli import EXIT_CONFIG, main
-from latticecoop.config import ConfigError, ExperimentConfig, parse_config_text
+from latticecoop.config import (
+    ConfigError,
+    ExperimentConfig,
+    config_dict,
+    parse_config,
+    parse_config_text,
+)
 from latticecoop.dynamics import Deterministic, Fermi
 from latticecoop.engine import RunConfig
 from latticecoop.game import PayoffParams
 from latticecoop.interference import Neb, NebI, NebII, Pop
-from latticecoop.sweep import SweepSpec, sweep_metadata
+from latticecoop.sweep import SweepSpec
 
 RUN = RunConfig(
     side_length=10, payoff=PayoffParams(b=1.8), scheme=Neb(n_c=3, theta=5.3), rule=Deterministic()
@@ -191,18 +197,30 @@ def test_cli_wrong_type_exits_config_naming_section_and_field(tmp_path, capsys):
 
 
 def test_sweep_metadata_run_config_keys_and_values():
-    spec = replace(SPEC, base=replace(RUN, rule=Fermi(K=0.3, mu=0.01), seed=9))
-    assert sweep_metadata(spec)["run_config"] == {
-        "side_length": 10,
-        "b": 1.8,
-        "punishment": 0.0,
-        "rule": "Fermi",
-        "K": 0.3,
-        "mu": 0.01,
-        "generations": 200,
-        "measure_window": 50,
-        "initial_coop_probability": 0.5,
-        "initial_exact_fraction": False,
-        "early_stop_on_homogeneous": True,
+    # a sweep's parameters are recorded once, by config_dict into its
+    # config.yaml; the metadata.json sidecar holds provenance only
+    run = replace(RUN, rule=Fermi(K=0.3, mu=0.01), seed=9)
+    doc = config_dict(ExperimentConfig(run=run, replicates=2, sweep=SPEC))
+    assert doc == {
+        "model": {
+            "side_length": 10,
+            "b": 1.8,
+            "punishment": 0.0,
+            "initial_coop_probability": 0.5,
+            "initial_exact_fraction": False,
+        },
+        "scheme": {"kind": "neb"},
+        "rule": {"kind": "fermi", "K": 0.3, "mu": 0.01},
+        "protocol": {
+            "generations": 200,
+            "measure_window": 50,
+            "base_seed": 9,
+            "early_stop_on_homogeneous": True,
+            "replicates": 2,
+        },
+        "output": {"directory": "runs", "label": "experiment"},
+        "sweep": {"theta_values": [4.5, 5.3], "threshold_values": [2.0, 3.0]},
     }
-    assert sweep_metadata(SPEC)["run_config"]["rule"] == "Deterministic"
+    parsed = parse_config(doc)
+    assert parsed.sweep == replace(SPEC, base=replace(run, scheme=parsed.run.scheme))
+    assert config_dict(ExperimentConfig(run=RUN, sweep=SPEC))["rule"] == {"kind": "deterministic"}

@@ -434,9 +434,10 @@ def boundary_draws(g, scores, k, mu):
 def test_step_fermi_at_draw_boundaries_matches_replay(side, mu, b):
     # crafted draws at each threshold pin the neighbour selects, the mutation
     # compares and the strict acceptance compare on both paths; at K=1e-300
-    # the probabilities saturate to exactly 0.0 and 1.0
+    # the probabilities saturate to exactly 0.0 and 1.0, and at K=1e-310 the
+    # gaps overflow to +-inf without a warning
     payoff = PayoffParams(b=b)
-    for k, seed in itertools.product((0.3, 1e-300), range(4)):
+    for k, seed in itertools.product((0.3, 1e-300, 1e-310), range(4)):
         rule = Fermi(K=k, mu=mu)
         g = Grid(np.random.default_rng(seed).integers(0, 2, (side, side), dtype=np.uint8))
         table = paid_score_table(payoff, 3.0, 2)

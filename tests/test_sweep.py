@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from latticecoop.dynamics import Deterministic
 from latticecoop.engine import RunConfig, derive_seed, run
 from latticecoop.game import PayoffParams
 from latticecoop.interference import Neb, NoInterference
-from latticecoop.sweep import SweepSpec, run_sweep, write_metadata_json, write_sweep
+from latticecoop.sweep import ARTIFACT_VERSION, SweepSpec, run_sweep, write_sweep
 
 
 def base_config(**kw):
@@ -153,16 +154,16 @@ def test_neb_threshold_landscape():
 
 
 def test_metadata_sidecar(tmp_path):
-    s = spec()
+    # provenance only: the parameters are the experiment's, in its config.yaml
     path = tmp_path / "metadata.json"
-    write_metadata_json(path, s)
+    before = time.time()
+    write_sweep(spec(replicates=1), path, tmp_path / "sweep.csv")
     meta = json.loads(path.read_text())
-    assert meta["scheme_kind"] == "neb"
-    assert meta["theta_values"] == [4.5, 5.3]
-    assert meta["replicates"] == 2
-    assert meta["base_seed"] == 77
-    assert meta["run_config"]["side_length"] == 10
-    assert "created_unix" in meta and "artifact_version" in meta
+    assert sorted(meta) == ["artifact_version", "cost_normalisation", "created_unix"]
+    assert meta["artifact_version"] == ARTIFACT_VERSION
+    assert before <= meta["created_unix"] <= time.time()
+    assert meta["cost_normalisation"] == "raw totals (no 1e7 division applied)"
+    assert path.read_text().endswith("}\n")
 
 
 def test_write_sweep(tmp_path):
@@ -190,4 +191,6 @@ def test_write_sweep(tmp_path):
             cell.mean_total_cost, cell.stderr_cost,
         ]
         assert row[6] == "2"
-    assert json.loads(metadata.read_text())["scheme_kind"] == "neb"
+    assert sorted(json.loads(metadata.read_text())) == [  # no parameter of the sweep
+        "artifact_version", "cost_normalisation", "created_unix",
+    ]
