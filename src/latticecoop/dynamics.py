@@ -80,15 +80,21 @@ def step_deterministic(g: Grid, scores: np.ndarray) -> Grid:
     ValueError names ``scores`` in any other shape.
     """
     if _is_score_table(g, scores):
-        best = by_code(g.code, key_table(scores))
-        first_max(best, *neighbour_field(best))
-        best &= 1
-        return Grid._owning(best)
+        return Grid._owning(imitate_best(by_code(g.code, key_table(scores))))
     best_score, best = scores, g.cells
     for score, strategy in zip(neighbour_field(scores), neighbour_field(g.cells)):
         best = where_cells(score > best_score, strategy, best)
         best_score = np.maximum(best_score, score)
     return Grid._owning(best)
+
+
+def imitate_best(keys: np.ndarray) -> np.ndarray:
+    """The next cells from uint8 keys ``rank << 4 | strategy``, one lattice or a
+    stack: per cell the strategy of the first of self, N, E, S, W with the largest
+    rank (``grid.first_max``), written into ``keys``."""
+    first_max(keys, *neighbour_field(keys))
+    keys &= 1
+    return keys
 
 
 @lru_cache(maxsize=1)

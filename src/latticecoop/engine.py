@@ -23,11 +23,28 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import Deterministic, Fermi, UpdateRule, step
-from .game import PayoffParams, compute_scores, score_table
-from .grid import MIN_SIDE_LENGTH, Grid, Strategy, check_field_types, coop_count, random_grid
+from .dynamics import Deterministic, Fermi, UpdateRule, imitate_best, step
+from .game import PayoffParams, by_code, compute_scores, key_table, score_table
+from .grid import (
+    MIN_SIDE_LENGTH,
+    Grid,
+    Strategy,
+    cell_codes,
+    check_field_types,
+    coop_count,
+    random_grid,
+)
 from .grid import grid_hash  # noqa: F401 (perfbench looks grid.grid_hash up here only)
-from .interference import InterferenceScheme, NoInterference, apply
+from .interference import (
+    InterferenceScheme,
+    Neb,
+    NoInterference,
+    Pop,
+    apply,
+    counts_exactly,
+    flat_investment,
+    flat_surplus,
+)
 
 MAX_SEED = 2**64  # seeds are 64-bit unsigned
 # Largest L whose per-generation Fermi draw, Z = L * L rows of three float64
@@ -130,88 +147,177 @@ def step_generation(
     return step(g, base + outcome.surplus, rule, rng), outcome.generation_cost
 
 
-def run(config: RunConfig) -> RunResult:
-    """Execute one seeded run; see the module docstring for the protocol."""
-    rng = np.random.default_rng(config.seed)
-    g = random_grid(
+class _Protocol:
+    """One run's protocol around its steps, shared by ``run`` and ``run_batch``:
+    the cycle check, the homogeneous stop, the records and the stationary average."""
+
+    def __init__(self, config: RunConfig) -> None:
+        # Homogeneity is absorbing only without mutation.
+        mutates = isinstance(config.rule, Fermi) and config.rule.mu > 0.0
+        self.stops_when_homogeneous = config.early_stop_on_homogeneous and not mutates
+        self.horizon = config.generations + config.measure_window
+        self.measure_window = config.measure_window
+        # bit-packed cells (L is fixed within a run) -> first generation in that state
+        self.seen: dict[bytes, int] | None = {} if isinstance(config.rule, Deterministic) else None
+        self.records: list[GenerationRecord] = []
+        self.cumulative = 0.0
+        self.termination = Termination.COMPLETED
+        self.cycle_start: int | None = None
+        self.cycle_period: int | None = None
+
+    def stops_at(self, cells: np.ndarray, x_c: int) -> bool:
+        """Whether the run ends before it steps from ``cells``, which hold x_C
+        ``x_c``: at the horizon, on a repeated state (deterministic rule only),
+        or absorbed, which records a last generation at cost 0.0."""
+        generation = len(self.records)
+        if generation == self.horizon:
+            return True
+        if self.seen is not None:
+            first = self.seen.setdefault(np.packbits(cells).tobytes(), generation)
+            if first != generation:
+                self.termination = Termination.CYCLE_DETECTED
+                self.cycle_start, self.cycle_period = first, generation - first
+                return True
+        # A grid is homogeneous exactly when it holds 0 or Z cooperators.
+        if self.stops_when_homogeneous and x_c in (0, cells.size):
+            self.records.append(GenerationRecord(generation, x_c, 0.0, self.cumulative))
+            self.termination = Termination.HOMOGENEOUS_C if x_c else Termination.HOMOGENEOUS_D
+            return True
+        return False
+
+    def record(self, x_c: int, cost: float) -> None:
+        """Record a generation stepped from x_C ``x_c`` at interference cost ``cost``."""
+        self.cumulative += cost
+        self.records.append(GenerationRecord(len(self.records), x_c, cost, self.cumulative))
+
+    def result(self, final_grid: Grid) -> RunResult:
+        return RunResult(
+            records=tuple(self.records),
+            stationary_coop_fraction=self._stationary_fraction(final_grid.size),
+            total_cost=self.cumulative,
+            termination=self.termination,
+            cycle_period=self.cycle_period,
+            final_grid=final_grid,
+        )
+
+    def _stationary_fraction(self, z: int) -> float:
+        records, termination = self.records, self.termination
+        if termination == Termination.HOMOGENEOUS_C:
+            return 1.0
+        if termination == Termination.HOMOGENEOUS_D:
+            return 0.0
+        if termination == Termination.CYCLE_DETECTED:
+            # Average one full cycle, or the measure window if that is longer,
+            # of the trajectory that repeats forever.
+            start, period = self.cycle_start, self.cycle_period
+            window = max(period, self.measure_window)
+            counts = [records[start + (j % period)].coop_count for j in range(window)]
+            return float(np.mean(counts) / z)
+        window = records[-self.measure_window:]
+        return float(np.mean([rec.coop_count for rec in window]) / z)
+
+
+def _initial_grid(config: RunConfig, rng: np.random.Generator) -> Grid:
+    return random_grid(
         config.side_length,
         config.initial_coop_probability,
         rng,
         exact_fraction=config.initial_exact_fraction,
     )
 
-    deterministic = isinstance(config.rule, Deterministic)
-    # Homogeneity is absorbing only without mutation.
-    mutates = isinstance(config.rule, Fermi) and config.rule.mu > 0.0
-    stop_when_homogeneous = config.early_stop_on_homogeneous and not mutates
-    total_generations = config.generations + config.measure_window
 
-    records: list[GenerationRecord] = []
-    cumulative = 0.0
-    termination = Termination.COMPLETED
-    cycle_period: int | None = None
-    cycle_start: int | None = None
-    # bit-packed cells (L is fixed within a run) -> first generation in that state
-    seen: dict[bytes, int] = {}
-
-    for generation in range(total_generations):
-        if deterministic:
-            state = np.packbits(g.cells).tobytes()
-            if state in seen:
-                termination = Termination.CYCLE_DETECTED
-                cycle_start = seen[state]
-                cycle_period = generation - cycle_start
-                break
-            seen[state] = generation
-
-        # A grid is homogeneous exactly when it holds 0 or Z cooperators.
+def run(config: RunConfig) -> RunResult:
+    """Execute one seeded run; see the module docstring for the protocol."""
+    rng = np.random.default_rng(config.seed)
+    g = _initial_grid(config, rng)
+    protocol = _Protocol(config)
+    while True:
         x_c = coop_count(g)
-        if stop_when_homogeneous and x_c in (0, g.size):
-            records.append(GenerationRecord(generation, x_c, 0.0, cumulative))
-            termination = Termination.HOMOGENEOUS_C if x_c else Termination.HOMOGENEOUS_D
-            break
-
+        if protocol.stops_at(g.cells, x_c):
+            return protocol.result(g)
         next_grid, cost = step_generation(g, config.payoff, config.scheme, config.rule, rng)
-        cumulative += cost
-        records.append(GenerationRecord(generation, x_c, cost, cumulative))
+        protocol.record(x_c, cost)
         g = next_grid
 
-    stationary = _stationary_fraction(
-        records, termination, cycle_start, cycle_period, config.measure_window, g.size
-    )
-    return RunResult(
-        records=tuple(records),
-        stationary_coop_fraction=stationary,
-        total_cost=records[-1].cumulative_cost if records else 0.0,
-        termination=termination,
-        cycle_period=cycle_period,
-        final_grid=g,
+
+# Most cells in one run_many batch (26 replicates at L=100). A stack pays a
+# generation's fixed call cost once, but its gain per replicate stops growing
+# near 10**5 cells (README, Performance), while what it holds at once (its
+# temporaries and every replicate's cycle states) grows with its cells.
+BATCH_CELLS = 2**18
+
+
+def _batchable(config: RunConfig) -> bool:
+    """Whether ``run_batch`` takes ``config``: imitate-best under none, or under
+    pop or neb with a cost that the paid count gives exactly."""
+    scheme = config.scheme
+    return isinstance(config.rule, Deterministic) and (
+        isinstance(scheme, NoInterference)
+        or isinstance(scheme, (Pop, Neb)) and counts_exactly(scheme.theta, config.side_length**2)
     )
 
 
-def _stationary_fraction(
-    records: Sequence[GenerationRecord],
-    termination: Termination,
-    cycle_start: int | None,
-    cycle_period: int | None,
-    measure_window: int,
-    z: int,
-) -> float:
-    if termination == Termination.HOMOGENEOUS_C:
-        return 1.0
-    if termination == Termination.HOMOGENEOUS_D:
-        return 0.0
-    if termination == Termination.CYCLE_DETECTED:
-        # Average one full cycle, or the measure window if that is longer,
-        # of the trajectory that repeats forever.
-        assert cycle_start is not None and cycle_period is not None
-        window = max(cycle_period, measure_window)
-        counts = [
-            records[cycle_start + (j % cycle_period)].coop_count for j in range(window)
-        ]
-        return float(np.mean(counts) / z)
-    window = records[-measure_window:]
-    return float(np.mean([rec.coop_count for rec in window]) / z)
+def _same_but_seed(config: RunConfig, other: RunConfig) -> bool:
+    return replace(other, seed=config.seed) == config
+
+
+def run_batch(configs: Sequence[RunConfig]) -> list[RunResult]:
+    """``[run(c) for c in configs]``, byte for byte, with the runs stepped together.
+
+    For two or more configs that differ only in ``seed``, under imitate-best and
+    a none, pop or neb scheme whose cost the paid count gives exactly
+    (``interference.counts_exactly``); a ValueError names any other batch. Each
+    replicate's initial grid is ``run``'s. Each generation derives the codes of
+    the whole (R, L, L) stack, looks each replicate's keys up in its row of one
+    stacked key table (row 0 invests nothing: ``none``, an unfired pop or a
+    homogeneous grid; row 1 pays the scheme's surplus), and takes the first
+    maximum over the stack's neighbour field. The cycle check, homogeneous
+    stop, cost and records are each replicate's own (``_Protocol``), and a
+    replicate that finishes leaves the stack.
+    """
+    first = configs[0]
+    if len(configs) < 2 or not _batchable(first) or not all(
+        _same_but_seed(first, c) for c in configs
+    ):
+        raise ValueError(
+            "run_batch takes two or more configs that differ only in seed, under the "
+            "deterministic rule and none, pop or neb with an exactly counted cost"
+        )
+    scheme, z = first.scheme, first.side_length**2
+    base = score_table(first.payoff)
+    table = np.concatenate(
+        [key_table(base + flat_surplus(paid)) for paid in (NoInterference(), scheme)]
+    )
+    protocols = [_Protocol(config) for config in configs]
+    results: list[RunResult | None] = [None] * len(configs)
+    cells = np.stack(
+        [_initial_grid(config, np.random.default_rng(config.seed)).cells for config in configs]
+    )
+    live = list(range(len(configs)))  # the replicate in each layer of the stack
+    while True:
+        going, counts = [], []
+        for i, r in enumerate(live):
+            count = int(np.count_nonzero(cells[i]))
+            if protocols[r].stops_at(cells[i], count):
+                results[r] = protocols[r].result(Grid(cells[i]))
+            else:
+                going.append(i)
+                counts.append(count)
+        if not going:
+            return results
+        if len(going) < len(live):
+            cells = cells[going]
+            live = [live[i] for i in going]
+        x_c = np.array(counts)
+        code = cell_codes(cells)
+        invests, costs = flat_investment(scheme, code, x_c)
+        homogeneous = (x_c == 0) | (x_c == z)  # steps as none, as in step_generation
+        invests &= ~homogeneous
+        costs[homogeneous] = 0.0
+        code += (invests.view(np.uint8) * np.uint8(10))[:, None, None]
+        cells = imitate_best(by_code(code, table))
+        for r, count, cost in zip(live, x_c.tolist(), costs.tolist()):
+            protocols[r].record(count, cost)
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -232,18 +338,49 @@ def replicate_configs(config: RunConfig, n: int) -> list[RunConfig]:
     return [replace(config, seed=derive_seed(config.seed, i)) for i in range(n)]
 
 
+def _batches(configs: Sequence[RunConfig], workers: int) -> list[tuple[RunConfig, ...]]:
+    """``configs`` in order, in ``run_many``'s tasks: a run of consecutive configs
+    that ``run_batch`` takes and that differ only in seed is split into batches
+    of at most ceil(len(configs) / workers) runs and ``BATCH_CELLS`` cells;
+    every other config is a batch of its own."""
+    most = math.ceil(len(configs) / max(workers, 1))
+    batches: list[list[RunConfig]] = []
+    for config in configs:
+        batch = batches[-1] if batches else None
+        if (
+            batch
+            and len(batch) < min(most, BATCH_CELLS // config.side_length**2)
+            and _batchable(config)
+            and _same_but_seed(batch[0], config)
+        ):
+            batch.append(config)
+        else:
+            batches.append([config])
+    return [tuple(batch) for batch in batches]
+
+
+def _run_task(batch: tuple[RunConfig, ...]) -> list[RunResult]:
+    return run_batch(batch) if len(batch) > 1 else [run(batch[0])]
+
+
 def run_many(configs: Sequence[RunConfig], workers: int = 1) -> Iterator[RunResult]:
     """Lazily yield each config's RunResult, in input order however the runs are scheduled.
 
-    Serial when ``workers <= 1``, else on one process pool with one run per
-    task, so a worker holds at most one finished result.
+    The configs go in batches (``_batches``): consecutive deterministic
+    none/pop/neb replicates that differ only in seed step together through
+    ``run_batch``, and every other config runs alone through ``run``. Serial
+    when ``workers <= 1``, else on one process pool with one batch per task, so
+    a worker holds at most one batch's results.
     """
-    if workers <= 1 or len(configs) <= 1:
-        yield from map(run, configs)
+    batches = _batches(configs, workers)
+    if workers <= 1 or len(batches) <= 1:
+        for batch in batches:
+            yield from _run_task(batch)
         return
     from concurrent.futures import ProcessPoolExecutor  # ~20 ms of imports; serial use skips them
-    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
-        yield from pool.map(run, configs)
+    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+        for results in pool.map(_run_task, batches):
+            yield from results
 
 
 def run_replicates(config: RunConfig, n: int, workers: int = 1) -> list[RunResult]:

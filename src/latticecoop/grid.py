@@ -70,11 +70,8 @@ class Grid:
 
     def _derive(self, cells: np.ndarray) -> None:
         """Freeze ``cells`` and set them with ``code`` and ``coop_count``."""
-        code = cells * np.uint8(5)
-        for neighbour in neighbour_field(cells):
-            code += neighbour
         object.__setattr__(self, "cells", _frozen(cells))
-        object.__setattr__(self, "code", _frozen(code))
+        object.__setattr__(self, "code", _frozen(cell_codes(cells)))
         object.__setattr__(self, "coop_count", int(np.count_nonzero(cells)))
 
     def __reduce__(self):
@@ -161,17 +158,29 @@ def check_field_types(obj) -> None:
 
 def neighbour_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each cell's (N, E, S, W) neighbour values as read-only views of one
-    (L+2, L+2) copy of ``values`` inside a one-cell halo that wraps the torus.
+    (..., L+2, L+2) copy of ``values`` inside a one-cell halo that wraps the torus.
 
-    ``north[r, c]`` is ``values[(r-1) % L, c]``; east, south, west likewise.
+    ``values`` is one (L, L) lattice or a stack of them, (..., L, L), each its
+    own torus. ``north[..., r, c]`` is ``values[..., (r-1) % L, c]``; east,
+    south, west likewise.
     """
-    length = values.shape[0]
-    padded = np.empty((length + 2, length + 2), dtype=values.dtype)
-    padded[1:-1, 1:-1] = values
-    padded[0], padded[-1] = padded[-2], padded[1]
-    padded[:, 0], padded[:, -1] = padded[:, -2], padded[:, 1]
+    length = values.shape[-1]
+    padded = np.empty((*values.shape[:-2], length + 2, length + 2), dtype=values.dtype)
+    padded[..., 1:-1, 1:-1] = values
+    padded[..., 0, :], padded[..., -1, :] = padded[..., -2, :], padded[..., 1, :]
+    padded[..., 0], padded[..., -1] = padded[..., -2], padded[..., 1]
     padded.setflags(write=False)
-    return padded[:-2, 1:-1], padded[1:-1, 2:], padded[2:, 1:-1], padded[1:-1, :-2]
+    return (padded[..., :-2, 1:-1], padded[..., 1:-1, 2:],
+            padded[..., 2:, 1:-1], padded[..., 1:-1, :-2])
+
+
+def cell_codes(cells: np.ndarray) -> np.ndarray:
+    """Per cell ``5 * strategy + k`` (uint8, 0..9), k its number of cooperating
+    neighbours, for 0/1 uint8 ``cells``: one lattice or a stack, as ``neighbour_field``."""
+    code = cells * np.uint8(5)
+    for neighbour in neighbour_field(cells):
+        code += neighbour
+    return code
 
 
 def where_cells(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:

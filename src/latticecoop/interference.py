@@ -150,7 +150,7 @@ class InvestmentOutcome:
         """
         theta = float(theta)
         table = _flat_table(theta, n_c)
-        if theta == 0.0 or _odd_part(theta) * g.size < 2**53:
+        if counts_exactly(theta, g.size):
             return cls(float(_paid_count(g, n_c)) * theta, table)
         return cls(float(by_code(g.code, table).sum()), table)
 
@@ -161,6 +161,12 @@ def _flat_table(theta: float, n_c: int) -> np.ndarray:
     table = np.zeros(10)
     table[5 : 6 + n_c] = theta
     return _frozen(table)
+
+
+def counts_exactly(theta: float, z: int) -> bool:
+    """Whether ``float(paid) * theta`` is a flat surplus of ``theta`` summed over
+    Z cells, bit for bit, for every paid count (``InvestmentOutcome.flat``)."""
+    return theta == 0.0 or _odd_part(theta) * z < 2**53
 
 
 def _odd_part(theta: float) -> int:
@@ -175,16 +181,43 @@ def _paid_count(g: Grid, n_c: int) -> int:
     return x_c if n_c >= 4 else x_c - int(np.count_nonzero(g.code > 5 + n_c))
 
 
+def _pop_threshold(scheme: Pop, z: int) -> int:
+    """The largest x_C at which pop invests: p_c * Z as a count."""
+    return math.floor(scheme.p_c * z + _POP_COUNT_EPS)
+
+
 def apply_pop(g: Grid, scheme: Pop) -> InvestmentOutcome:
     """All-or-nothing: every cooperator gets theta iff x_C <= p_c * Z."""
-    threshold_count = math.floor(scheme.p_c * g.size + _POP_COUNT_EPS)
-    theta = scheme.theta if coop_count(g) <= threshold_count else 0.0
+    theta = scheme.theta if coop_count(g) <= _pop_threshold(scheme, g.size) else 0.0
     return InvestmentOutcome.flat(g, theta)
 
 
 def apply_neb(g: Grid, scheme: Neb) -> InvestmentOutcome:
     """Cooperator i gets theta iff its cooperating-neighbour count is <= n_c."""
     return InvestmentOutcome.flat(g, scheme.theta, scheme.n_c)
+
+
+def flat_surplus(scheme: InterferenceScheme) -> np.ndarray:
+    """The ten surpluses by code that a flat scheme (none, pop, neb) pays when it invests."""
+    return _flat_table(getattr(scheme, "theta", 0.0), getattr(scheme, "n_c", 4))
+
+
+def flat_investment(
+    scheme: InterferenceScheme, code: np.ndarray, x_c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``apply`` of a flat scheme (none, pop, neb) to each lattice of a stack,
+    from its (R, L, L) codes and (R,) cooperator counts: per lattice whether it
+    invests (pays ``flat_surplus(scheme)``; else nothing) and its cost
+    ``float(paid) * theta``, which is ``apply``'s wherever ``counts_exactly(theta, Z)``."""
+    if isinstance(scheme, NoInterference):
+        return np.zeros(x_c.shape, dtype=bool), np.zeros(x_c.shape)
+    if isinstance(scheme, Pop):
+        invests = x_c <= _pop_threshold(scheme, code[0].size)
+        return invests, np.where(invests, x_c, 0) * scheme.theta
+    paid = x_c
+    if scheme.n_c < 4:  # less the cooperators of code 5 + k > 5 + n_c, counted per lattice
+        paid = paid - [np.count_nonzero(layer) for layer in code > 5 + scheme.n_c]
+    return np.ones(x_c.shape, dtype=bool), paid * scheme.theta
 
 
 # A cell's best neighbour under neb_i/neb_ii is the first of its N, E, S, W

@@ -1,24 +1,28 @@
 import csv
 import os
+import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latticecoop.dynamics import Deterministic, Fermi, step
 from latticecoop.engine import (
+    BATCH_CELLS,
     MAX_SIDE_LENGTH,
     RunConfig,
     Termination,
+    _batches,
     derive_seed,
     is_homogeneous,
     replicate_configs,
     run,
+    run_batch,
     run_many,
     run_replicates,
     step_generation,
@@ -230,6 +234,7 @@ POOL_IMPORT_CHILD = """
 import sys
 import latticecoop, latticecoop.cli, latticecoop.config
 from latticecoop import Deterministic, Fermi, Neb, NebII, PayoffParams, RunConfig
+from latticecoop import engine
 from latticecoop.engine import run_many
 
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("concurrent", "multiprocessing"))
@@ -243,6 +248,13 @@ configs = [
     RunConfig(side_length=5, payoff=pay, scheme=Neb(n_c=4, theta=5.3), rule=Fermi(K=0.3),
               generations=5, measure_window=3, seed=3),
 ]
+# replicates that differ only in seed: a pooled batch through run_batch
+configs += [
+    RunConfig(side_length=5, payoff=pay, scheme=Neb(n_c=3, theta=1.5), rule=Deterministic(),
+              generations=5, measure_window=3, seed=seed)
+    for seed in (4, 5)
+]
+assert [len(batch) for batch in engine._batches(configs, 2)] == [1, 1, 1, 2]
 serial = list(run_many(configs, workers=1))
 assert "concurrent.futures.process" not in sys.modules, "a serial batch loaded the pool"
 assert list(run_many(configs, workers=2)) == serial
@@ -258,6 +270,118 @@ def test_pool_is_imported_only_when_a_batch_runs_on_it():
     proc = subprocess.run([sys.executable, "-c", POOL_IMPORT_CHILD],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _exact(result):
+    """Every field of a RunResult, each number with its type and each float as its bytes."""
+    def number(x):
+        return type(x), struct.pack("<d", x) if isinstance(x, float) else x
+
+    grid = result.final_grid
+    return (
+        [tuple(map(number, astuple(rec))) for rec in result.records],
+        number(result.stationary_coop_fraction),
+        number(result.total_cost),
+        result.termination,
+        number(result.cycle_period),
+        grid.cells.shape,
+        grid.cells.tobytes(),
+        grid.code.tobytes(),
+        number(grid.coop_count),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    side_length=st.integers(3, 8),
+    scheme=st.one_of(
+        st.just(NoInterference()),
+        st.builds(Pop, p_c=st.floats(0.0, 1.0), theta=st.sampled_from(TIE_THETAS)),
+        st.builds(Neb, n_c=st.integers(0, 4), theta=st.sampled_from(TIE_THETAS)),
+    ),
+    b=st.sampled_from(TIE_BS),
+    p=st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+    exact_fraction=st.booleans(),
+    early_stop=st.booleans(),
+    generations=st.integers(1, 20),
+    measure_window=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    replicates=st.integers(2, 6),
+)
+# an all-C grid that steps on pays nothing, though neb(4) would pay every cooperator
+@example(side_length=4, scheme=Neb(n_c=4, theta=1.0), b=1.8, p=1.0, exact_fraction=False,
+         early_stop=False, generations=3, measure_window=1, seed=0, replicates=2)
+def test_run_batch_equals_the_runs_one_by_one(
+    side_length, scheme, b, p, exact_fraction, early_stop, generations, measure_window, seed,
+    replicates,
+):
+    # replicates stop apart (cycle, absorption, horizon) and leave the stack as they do
+    cfg = RunConfig(
+        side_length=side_length,
+        payoff=PayoffParams(b=b),
+        scheme=scheme,
+        rule=Deterministic(),
+        generations=generations,
+        measure_window=measure_window,
+        seed=seed,
+        initial_coop_probability=p,
+        initial_exact_fraction=exact_fraction,
+        early_stop_on_homogeneous=early_stop,
+    )
+    configs = replicate_configs(cfg, replicates)
+    assert [_exact(r) for r in run_batch(configs)] == [_exact(run(c)) for c in configs]
+
+
+def test_run_batch_replicates_end_apart():
+    cfg = config(side_length=5, scheme=Pop(p_c=0.7, theta=1.5), generations=3, measure_window=2,
+                 seed=0, initial_coop_probability=0.6)
+    configs = replicate_configs(cfg, 6)
+    batch = run_batch(configs)
+    assert {r.termination for r in batch} == {
+        Termination.CYCLE_DETECTED, Termination.HOMOGENEOUS_D, Termination.COMPLETED}
+    assert len({len(r.records) for r in batch}) == 3
+    assert [_exact(r) for r in batch] == [_exact(run(c)) for c in configs]
+
+
+def test_run_batch_takes_only_seed_replicates_it_can_step():
+    cfg = config(scheme=Pop(p_c=0.7, theta=2.0), generations=5, measure_window=2)
+    for configs in (
+        [cfg],
+        replicate_configs(replace(cfg, rule=Fermi(K=0.3)), 2),
+        replicate_configs(replace(cfg, scheme=NebI(eps=0.5)), 2),
+        replicate_configs(replace(cfg, scheme=Neb(n_c=3, theta=5.3)), 2),  # cost summed per cell
+        [cfg, replace(cfg, seed=8, payoff=PayoffParams(b=1.5))],
+    ):
+        with pytest.raises(ValueError, match="differ only in seed"):
+            run_batch(configs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_many_batches_a_mixed_stream_in_order(workers):
+    short = dict(side_length=6, generations=6, measure_window=3)
+    pop = config(scheme=Pop(p_c=0.7, theta=2.0), **short)
+    groups = [
+        replicate_configs(pop, 13),  # a pop cell, longer than ceil(24 / 2)
+        replicate_configs(config(scheme=Neb(n_c=3, theta=1.5), seed=8, **short), 3),
+        replicate_configs(config(rule=Fermi(K=0.3), seed=9, **short), 2),
+        replicate_configs(config(scheme=NebI(eps=0.5), seed=10, **short), 2),
+        [replace(pop, scheme=Pop(p_c=0.7, theta=1.0))],
+        [config(scheme=NoInterference(), **short)],
+        replicate_configs(replace(pop, side_length=7), 2),
+    ]
+    configs = [c for group in groups for c in group]
+    sizes = {1: [13, 3, 1, 1, 1, 1, 1, 1, 2], 2: [12, 1, 3, 1, 1, 1, 1, 1, 1, 2]}[workers]
+    assert [len(batch) for batch in _batches(configs, workers)] == sizes
+    assert [_exact(r) for r in run_many(configs, workers)] == [_exact(r) for r in map(run, configs)]
+
+
+def test_batches_hold_at_most_batch_cells():
+    def sizes(side_length):
+        cfg = config(side_length=side_length, scheme=Pop(p_c=0.7, theta=2.0))
+        return [len(b) for b in _batches(replicate_configs(cfg, 3), 1)]
+
+    assert BATCH_CELLS // 362**2 == 2 and sizes(362) == [2, 1]
+    assert BATCH_CELLS // 513**2 == 0 and sizes(513) == [1, 1, 1]
 
 
 def test_derive_seed_is_stable_and_spread():

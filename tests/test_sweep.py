@@ -126,6 +126,9 @@ def test_sweep_aggregates_each_cell_before_running_the_next(monkeypatch):
 
     ran = []
     monkeypatch.setattr(engine, "run", lambda config, run=engine.run: ran.append(config) or run(config))
+    # theta 4.5's replicates step together (an exactly counted cost), 5.3's one by one
+    monkeypatch.setattr(engine, "run_batch",
+                        lambda configs, batch=engine.run_batch: ran.extend(configs) or batch(configs))
     seen = []
     run_sweep(spec(), progress=lambda done, total, cell: seen.append(len(ran)))
     assert seen == [2, 4, 6, 8]  # two replicates per cell, run only as each cell is read
