@@ -23,16 +23,18 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import Deterministic, Fermi, UpdateRule, imitate_best, step
-from .game import PayoffParams, by_code, compute_scores, key_table, score_table
+from .dynamics import Deterministic, Fermi, UpdateRule, step
+from .game import PayoffParams, compute_scores, key_table, score_table
 from .grid import (
     MIN_SIDE_LENGTH,
     Grid,
     Strategy,
-    cell_codes,
     check_field_types,
+    cell_codes,
     coop_count,
+    first_max,
     random_grid,
+    wrap_halo,
 )
 from .grid import grid_hash  # noqa: F401 (perfbench looks grid.grid_hash up here only)
 from .interference import (
@@ -165,21 +167,22 @@ class _Protocol:
         self.cycle_start: int | None = None
         self.cycle_period: int | None = None
 
-    def stops_at(self, cells: np.ndarray, x_c: int) -> bool:
-        """Whether the run ends before it steps from ``cells``, which hold x_C
-        ``x_c``: at the horizon, on a repeated state (deterministic rule only),
-        or absorbed, which records a last generation at cost 0.0."""
+    def stops_at(self, x_c: int, z: int, packed: bytes | None) -> bool:
+        """Whether the run ends before it steps from Z = ``z`` cells that hold
+        x_C ``x_c``, their bytes from ``np.packbits`` ``packed`` (None unless
+        the rule is deterministic): at the horizon, on a repeated state, or
+        absorbed, which records a last generation at cost 0.0."""
         generation = len(self.records)
         if generation == self.horizon:
             return True
         if self.seen is not None:
-            first = self.seen.setdefault(np.packbits(cells).tobytes(), generation)
+            first = self.seen.setdefault(packed, generation)
             if first != generation:
                 self.termination = Termination.CYCLE_DETECTED
                 self.cycle_start, self.cycle_period = first, generation - first
                 return True
         # A grid is homogeneous exactly when it holds 0 or Z cooperators.
-        if self.stops_when_homogeneous and x_c in (0, cells.size):
+        if self.stops_when_homogeneous and x_c in (0, z):
             self.records.append(GenerationRecord(generation, x_c, 0.0, self.cumulative))
             self.termination = Termination.HOMOGENEOUS_C if x_c else Termination.HOMOGENEOUS_D
             return True
@@ -233,7 +236,8 @@ def run(config: RunConfig) -> RunResult:
     protocol = _Protocol(config)
     while True:
         x_c = coop_count(g)
-        if protocol.stops_at(g.cells, x_c):
+        packed = np.packbits(g.cells).tobytes() if protocol.seen is not None else None
+        if protocol.stops_at(x_c, g.size, packed):
             return protocol.result(g)
         next_grid, cost = step_generation(g, config.payoff, config.scheme, config.rule, rng)
         protocol.record(x_c, cost)
@@ -261,19 +265,88 @@ def _same_but_seed(config: RunConfig, other: RunConfig) -> bool:
     return replace(other, seed=config.seed) == config
 
 
+class _Stack:
+    """The lattices of a batch in one (R, L+2, L+2) uint8 buffer, each inside a
+    one-cell halo that wraps its torus, kept padded from one generation to the next.
+
+    In the flat buffer a cell's N, E, S and W neighbours sit -(L+2), +1, +(L+2)
+    and -1 bytes away, so each neighbour read is one contiguous slice over the
+    span from the first interior cell to the last (``_span``). What the span
+    computes at halo positions is garbage, which the next ``wrap_halo``
+    overwrites. Keys come from the codes by one ``bytearray.translate``
+    through a 256-byte table: the stacked key table by code for a lattice that
+    invests nothing (``none``, an unfired pop or a homogeneous grid) and by
+    code + 10 for one that pays ``scheme``'s surplus, or its paid half by code
+    when all pay.
+    """
+
+    def __init__(self, cells: np.ndarray, payoff: PayoffParams, scheme: InterferenceScheme):
+        base = score_table(payoff)
+        table = np.concatenate(
+            [key_table(base + flat_surplus(paid)) for paid in (NoInterference(), scheme)]
+        )
+        self.luts = [keys.tobytes().ljust(256, b"\0") for keys in (table, table[10:])]
+        self.load(cells)
+
+    def load(self, cells: np.ndarray) -> None:
+        """Hold the (R, L, L) ``cells``, their halo wrapped anew."""
+        layers, width = len(cells), cells.shape[-1] + 2
+        self.padded = np.empty((layers, width, width), dtype=np.uint8)
+        self.cells = self.padded[:, 1:-1, 1:-1]
+        self.cells[...] = cells
+        wrap_halo(self.padded)
+        self._code_bytes = bytearray(self.padded.size)
+        self.code = np.frombuffer(self._code_bytes, np.uint8).reshape(self.padded.shape)
+        self._field = _span(self.padded, width)
+        self._code_span = _span(self.code, width)[0]
+
+    def codes(self) -> np.ndarray:
+        """Each lattice's codes (``grid.cell_codes``), an (R, L, L) view of the code buffer."""
+        cells, *field = self._field
+        cell_codes(cells, field, out=self._code_span)
+        return self.code[:, 1:-1, 1:-1]
+
+    def step(self, invests: np.ndarray) -> None:
+        """Imitate-best from ``codes``: per cell the strategy of the first of self,
+        N, E, S, W with the largest rank (``grid.first_max``), each lattice in
+        ``invests`` paid the surplus."""
+        wrap_halo(self.code)
+        if invests.all():
+            lut = self.luts[1]
+        else:
+            if invests.any():
+                self.code += (invests.view(np.uint8) * np.uint8(10))[:, None, None]
+            lut = self.luts[0]
+        keys = np.frombuffer(self._code_bytes.translate(lut), np.uint8)
+        best, *field = _span(keys, self.padded.shape[-1])
+        cells = self._field[0]
+        np.copyto(cells, best)
+        first_max(cells, *field)
+        cells &= 1
+        wrap_halo(self.padded)
+
+
+def _span(padded: np.ndarray, width: int) -> list[np.ndarray]:
+    """Self, N, E, S and W of each position from the first interior cell to the
+    last of a padded stack ``width`` = L+2 wide, as five slices of its buffer."""
+    flat = padded.reshape(-1)
+    start, stop = width + 1, flat.size - width - 1
+    return [flat[start + offset : stop + offset] for offset in (0, -width, 1, width, -1)]
+
+
 def run_batch(configs: Sequence[RunConfig]) -> list[RunResult]:
     """``[run(c) for c in configs]``, byte for byte, with the runs stepped together.
 
     For two or more configs that differ only in ``seed``, under imitate-best and
     a none, pop or neb scheme whose cost the paid count gives exactly
     (``interference.counts_exactly``); a ValueError names any other batch. Each
-    replicate's initial grid is ``run``'s. Each generation derives the codes of
-    the whole (R, L, L) stack, looks each replicate's keys up in its row of one
-    stacked key table (row 0 invests nothing: ``none``, an unfired pop or a
-    homogeneous grid; row 1 pays the scheme's surplus), and takes the first
-    maximum over the stack's neighbour field. The cycle check, homogeneous
-    stop, cost and records are each replicate's own (``_Protocol``), and a
-    replicate that finishes leaves the stack.
+    replicate's initial grid is ``run``'s. The live replicates are the layers of
+    one wrap-padded ``_Stack``. Each generation derives the stack's codes, looks
+    each replicate's keys up in its half of one stacked key table, and takes
+    the first maximum over self and the four neighbours. The cycle check,
+    homogeneous stop, cost and records are each replicate's own
+    (``_Protocol``); their states are one ``np.packbits`` of the stack, sliced
+    per layer. A replicate that finishes leaves the stack.
     """
     first = configs[0]
     if len(configs) < 2 or not _batchable(first) or not all(
@@ -284,39 +357,37 @@ def run_batch(configs: Sequence[RunConfig]) -> list[RunResult]:
             "deterministic rule and none, pop or neb with an exactly counted cost"
         )
     scheme, z = first.scheme, first.side_length**2
-    base = score_table(first.payoff)
-    table = np.concatenate(
-        [key_table(base + flat_surplus(paid)) for paid in (NoInterference(), scheme)]
-    )
     protocols = [_Protocol(config) for config in configs]
     results: list[RunResult | None] = [None] * len(configs)
-    cells = np.stack(
-        [_initial_grid(config, np.random.default_rng(config.seed)).cells for config in configs]
+    stack = _Stack(
+        np.stack([_initial_grid(c, np.random.default_rng(c.seed)).cells for c in configs]),
+        first.payoff,
+        scheme,
     )
     live = list(range(len(configs)))  # the replicate in each layer of the stack
     while True:
+        cells = stack.cells.reshape(len(live), z)  # a contiguous copy
+        packed = np.packbits(cells, axis=1)  # each row np.packbits(layer)
         going, counts = [], []
         for i, r in enumerate(live):
             count = int(np.count_nonzero(cells[i]))
-            if protocols[r].stops_at(cells[i], count):
-                results[r] = protocols[r].result(Grid(cells[i]))
+            if protocols[r].stops_at(count, z, packed[i].tobytes()):
+                results[r] = protocols[r].result(Grid(stack.cells[i]))
             else:
                 going.append(i)
                 counts.append(count)
         if not going:
             return results
         if len(going) < len(live):
-            cells = cells[going]
+            stack.load(stack.cells[going])
             live = [live[i] for i in going]
         x_c = np.array(counts)
-        code = cell_codes(cells)
-        invests, costs = flat_investment(scheme, code, x_c)
+        invests, costs = flat_investment(scheme, stack.codes(), x_c)
         homogeneous = (x_c == 0) | (x_c == z)  # steps as none, as in step_generation
         invests &= ~homogeneous
         costs[homogeneous] = 0.0
-        code += (invests.view(np.uint8) * np.uint8(10))[:, None, None]
-        cells = imitate_best(by_code(code, table))
-        for r, count, cost in zip(live, x_c.tolist(), costs.tolist()):
+        stack.step(invests)
+        for r, count, cost in zip(live, counts, costs.tolist()):
             protocols[r].record(count, cost)
 
 

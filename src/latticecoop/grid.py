@@ -71,7 +71,7 @@ class Grid:
     def _derive(self, cells: np.ndarray) -> None:
         """Freeze ``cells`` and set them with ``code`` and ``coop_count``."""
         object.__setattr__(self, "cells", _frozen(cells))
-        object.__setattr__(self, "code", _frozen(cell_codes(cells)))
+        object.__setattr__(self, "code", _frozen(cell_codes(cells, neighbour_field(cells))))
         object.__setattr__(self, "coop_count", int(np.count_nonzero(cells)))
 
     def __reduce__(self):
@@ -167,18 +167,26 @@ def neighbour_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     length = values.shape[-1]
     padded = np.empty((*values.shape[:-2], length + 2, length + 2), dtype=values.dtype)
     padded[..., 1:-1, 1:-1] = values
-    padded[..., 0, :], padded[..., -1, :] = padded[..., -2, :], padded[..., 1, :]
-    padded[..., 0], padded[..., -1] = padded[..., -2], padded[..., 1]
+    wrap_halo(padded)
     padded.setflags(write=False)
     return (padded[..., :-2, 1:-1], padded[..., 1:-1, 2:],
             padded[..., 2:, 1:-1], padded[..., 1:-1, :-2])
 
 
-def cell_codes(cells: np.ndarray) -> np.ndarray:
+def wrap_halo(padded: np.ndarray) -> None:
+    """Fill the one-cell halo of each (..., L+2, L+2) lattice in ``padded`` from
+    the opposite edge of its interior, in place: two row copies, then two
+    column copies."""
+    padded[..., 0, :], padded[..., -1, :] = padded[..., -2, :], padded[..., 1, :]
+    padded[..., 0], padded[..., -1] = padded[..., -2], padded[..., 1]
+
+
+def cell_codes(cells: np.ndarray, field, out: np.ndarray | None = None) -> np.ndarray:
     """Per cell ``5 * strategy + k`` (uint8, 0..9), k its number of cooperating
-    neighbours, for 0/1 uint8 ``cells``: one lattice or a stack, as ``neighbour_field``."""
-    code = cells * np.uint8(5)
-    for neighbour in neighbour_field(cells):
+    neighbours, from 0/1 uint8 ``cells`` and their (N, E, S, W) ``field`` of the
+    same shape (``neighbour_field``), written into ``out`` when given."""
+    code = np.multiply(cells, np.uint8(5), out=out)
+    for neighbour in field:
         code += neighbour
     return code
 

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from latticecoop.engine import (
     RunConfig,
     Termination,
     _batches,
+    _Stack,
     derive_seed,
     is_homogeneous,
     replicate_configs,
@@ -42,6 +44,7 @@ from conftest import (
     neb_i_bruteforce,
     neb_ii_bruteforce,
     neighbours,
+    paid_score_table,
     pair_payoff,
     pop_fires_bruteforce,
     scores_bruteforce,
@@ -382,6 +385,76 @@ def test_batches_hold_at_most_batch_cells():
 
     assert BATCH_CELLS // 362**2 == 2 and sizes(362) == [2, 1]
     assert BATCH_CELLS // 513**2 == 0 and sizes(513) == [1, 1, 1]
+
+
+def _paid_step_bruteforce(g, payoff, theta, n_c):
+    """Imitate-best on ``paid_score_table`` (theta 0: none), each cell's code counted one by one."""
+    length, flat = g.side_length, g.cells.reshape(-1)
+    table = paid_score_table(payoff, theta, n_c)
+    scores = [table[5 * flat[i] + sum(flat[j] for j in neighbours(i, length))]
+              for i in range(g.size)]
+    return step_deterministic_bruteforce(g, np.reshape(scores, (length, length)))
+
+
+@pytest.mark.parametrize("drop", ["first", "middle", "last"])
+@pytest.mark.parametrize("paying", ["all", "none", "some"])
+@settings(max_examples=30, deadline=None)
+@given(
+    side_length=st.integers(3, 8),
+    b=st.sampled_from(TIE_BS),
+    theta=st.sampled_from(TIE_THETAS),
+    n_c=st.integers(0, 4),
+    layers=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_steps_each_layer_as_the_bruteforce_step(
+    drop, paying, side_length, b, theta, n_c, layers, seed
+):
+    # Two generations of a padded stack, each layer paying neb(n_c, theta) or
+    # nothing; between them a compaction drops one layer (from two layers up).
+    # Odd L gives odd buffer widths; "all", "none" and "some" run each lookup path.
+    payoff, rng = PayoffParams(b=b), np.random.default_rng(seed)
+    grids = [random_grid(side_length, rng.random(), rng) for _ in range(layers)]
+    stack = _Stack(np.stack([g.cells for g in grids]), payoff, Neb(n_c=n_c, theta=theta))
+    for generation in range(2):
+        if generation and layers > 1:
+            dropped = {"first": 0, "middle": layers // 2, "last": layers - 1}[drop]
+            kept = [i for i in range(layers) if i != dropped]
+            stack.load(stack.cells[kept])
+            grids = [grids[i] for i in kept]
+        invests = {"all": np.ones(len(grids), dtype=bool), "none": np.zeros(len(grids), dtype=bool),
+                   "some": np.arange(len(grids)) % 2 == generation}[paying]
+        assert np.array_equal(stack.codes(), [g.code for g in grids])
+        stack.step(invests)
+        grids = [_paid_step_bruteforce(g, payoff, theta if paid else 0.0, n_c)
+                 for g, paid in zip(grids, invests)]
+        for layer, g in enumerate(grids):
+            assert np.array_equal(stack.cells[layer], g.cells), (generation, layer)
+
+
+def test_run_batch_holds_its_buffers_and_cycle_states_only():
+    # At R=5, L=100 over 20 generations the peak measured ~445 KB: about five
+    # bytes per padded cell (the stack, its codes, its keys, the contiguous
+    # copy that the states are packed from, neb's paid-count mask) and ~1.5 KB
+    # per replicate and generation (a packed state of Z/8 bytes with its dict
+    # entry, and a GenerationRecord). The bound, 497 KB here, allows six bytes
+    # per padded cell and Z/8 + 512 bytes per state. Stepping that pads a copy
+    # of the stack for the codes and another for the keys peaked at ~508 KB,
+    # and states kept unpacked would add Z bytes each.
+    replicates, length, generations = 5, 100, 20
+    cfg = config(side_length=length, scheme=Neb(n_c=3, theta=3.0), generations=generations,
+                 measure_window=1, seed=3)
+    configs = replicate_configs(cfg, replicates)
+    run_batch(configs)  # fills the table caches
+    tracemalloc.start()
+    try:
+        results = run_batch(configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = sum(len(r.records) for r in results)
+    assert states == replicates * (generations + 1)  # every replicate ran to the horizon
+    assert peak < 6 * replicates * (length + 2) ** 2 + states * (length**2 // 8 + 512)
 
 
 def test_derive_seed_is_stable_and_spread():
