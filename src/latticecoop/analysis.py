@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import islice
 from typing import Sequence
 
@@ -66,8 +67,10 @@ def classify_pop_regime(b: float, theta: float) -> MicroOutcome:
     return MicroOutcome.C_CONVERTS
 
 
+@cache
 def lone_defector_grid(side_length: int = 10) -> Grid:
-    """All-cooperator grid with a single defector at the centre."""
+    """All-cooperator grid with a single defector at the centre, built once per
+    side length (a ``Grid`` is read-only)."""
     if side_length < 5:
         raise ValueError("need side_length >= 5 so second-ring cooperators are interior")
     cells = np.full((side_length, side_length), Strategy.C.value, dtype=np.uint8)

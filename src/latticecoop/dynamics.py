@@ -15,13 +15,13 @@ from typing import Union
 
 import numpy as np
 
-from .game import acceptance_table, by_code, key_table, logistic
+from .game import acceptance_table, by_code, key_table, logistic, needs_tie_order
 from .grid import (
     Grid,
     _frozen,
+    best_strategy,
     check_field_types,
     choose_neighbour,
-    first_max,
     neighbour_field,
     where_cells,
 )
@@ -75,12 +75,13 @@ def step_deterministic(g: Grid, scores: np.ndarray) -> Grid:
     do, such as their ranks; a strict-``>`` running maximum over self, N, E, S,
     W keeps the first maximum. As the ten scores by code ``5 * strategy + k``
     (``game.score_table``), each cell's key ``rank << 4 | strategy`` is looked
-    up by its code in ``game.key_table(scores)``, and ``grid.first_max`` picks
+    up by its code in ``game.key_table(scores)``, and ``imitate_best`` picks
     the first candidate with the largest rank, with the same result. A
     ValueError names ``scores`` in any other shape.
     """
     if _is_score_table(g, scores):
-        return Grid._owning(imitate_best(by_code(g.code, key_table(scores))))
+        keys = by_code(g.code, key_table(scores))
+        return Grid._owning(imitate_best(keys, needs_tie_order(scores)))
     best_score, best = scores, g.cells
     for score, strategy in zip(neighbour_field(scores), neighbour_field(g.cells)):
         best = where_cells(score > best_score, strategy, best)
@@ -88,13 +89,13 @@ def step_deterministic(g: Grid, scores: np.ndarray) -> Grid:
     return Grid._owning(best)
 
 
-def imitate_best(keys: np.ndarray) -> np.ndarray:
+def imitate_best(keys: np.ndarray, ordered: bool) -> np.ndarray:
     """The next cells from uint8 keys ``rank << 4 | strategy``, one lattice or a
     stack: per cell the strategy of the first of self, N, E, S, W with the largest
-    rank (``grid.first_max``), written into ``keys``."""
-    first_max(keys, *neighbour_field(keys))
-    keys &= 1
-    return keys
+    rank, written into ``keys``. ``grid.best_strategy`` takes plain maxima over a
+    padded copy of the keys, or with ``ordered`` (``game.needs_tie_order`` of the
+    scores) the tie order's ``grid.first_max``."""
+    return best_strategy(keys, neighbour_field(keys), ordered)
 
 
 @lru_cache(maxsize=1)

@@ -24,15 +24,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import Deterministic, Fermi, UpdateRule, step
-from .game import PayoffParams, compute_scores, key_table, score_table
+from .game import PayoffParams, compute_scores, key_table, needs_tie_order, score_table
 from .grid import (
     MIN_SIDE_LENGTH,
     Grid,
     Strategy,
+    best_strategy,
     check_field_types,
     cell_codes,
     coop_count,
-    first_max,
     random_grid,
     wrap_halo,
 )
@@ -43,7 +43,6 @@ from .interference import (
     NoInterference,
     Pop,
     apply,
-    counts_exactly,
     flat_investment,
     flat_surplus,
 )
@@ -252,12 +251,9 @@ BATCH_CELLS = 2**18
 
 
 def _batchable(config: RunConfig) -> bool:
-    """Whether ``run_batch`` takes ``config``: imitate-best under none, or under
-    pop or neb with a cost that the paid count gives exactly."""
-    scheme = config.scheme
-    return isinstance(config.rule, Deterministic) and (
-        isinstance(scheme, NoInterference)
-        or isinstance(scheme, (Pop, Neb)) and counts_exactly(scheme.theta, config.side_length**2)
+    """Whether ``run_batch`` takes ``config``: imitate-best under none, pop or neb."""
+    return isinstance(config.rule, Deterministic) and isinstance(
+        config.scheme, (NoInterference, Pop, Neb)
     )
 
 
@@ -277,15 +273,15 @@ class _Stack:
     through a 256-byte table: the stacked key table by code for a lattice that
     invests nothing (``none``, an unfired pop or a homogeneous grid) and by
     code + 10 for one that pays ``scheme``'s surplus, or its paid half by code
-    when all pay.
+    when all pay. The update skips the tie order unless the table in use needs
+    it (``game.needs_tie_order``): the stacked table does if either half does.
     """
 
     def __init__(self, cells: np.ndarray, payoff: PayoffParams, scheme: InterferenceScheme):
-        base = score_table(payoff)
-        table = np.concatenate(
-            [key_table(base + flat_surplus(paid)) for paid in (NoInterference(), scheme)]
-        )
+        unpaid, paid = (score_table(payoff) + flat_surplus(s) for s in (NoInterference(), scheme))
+        table = np.concatenate([key_table(unpaid), key_table(paid)])
         self.luts = [keys.tobytes().ljust(256, b"\0") for keys in (table, table[10:])]
+        self.ordered = [needs_tie_order(unpaid) or needs_tie_order(paid), needs_tie_order(paid)]
         self.load(cells)
 
     def load(self, cells: np.ndarray) -> None:
@@ -308,21 +304,15 @@ class _Stack:
 
     def step(self, invests: np.ndarray) -> None:
         """Imitate-best from ``codes``: per cell the strategy of the first of self,
-        N, E, S, W with the largest rank (``grid.first_max``), each lattice in
-        ``invests`` paid the surplus."""
+        N, E, S, W with the largest rank (``grid.best_strategy``, written straight
+        into the cell buffer), each lattice in ``invests`` paid the surplus."""
         wrap_halo(self.code)
-        if invests.all():
-            lut = self.luts[1]
-        else:
-            if invests.any():
-                self.code += (invests.view(np.uint8) * np.uint8(10))[:, None, None]
-            lut = self.luts[0]
-        keys = np.frombuffer(self._code_bytes.translate(lut), np.uint8)
+        lut = int(invests.all())  # the paid half alone, or the stacked table
+        if not lut and invests.any():
+            self.code += (invests.view(np.uint8) * np.uint8(10))[:, None, None]
+        keys = np.frombuffer(self._code_bytes.translate(self.luts[lut]), np.uint8)
         best, *field = _span(keys, self.padded.shape[-1])
-        cells = self._field[0]
-        np.copyto(cells, best)
-        first_max(cells, *field)
-        cells &= 1
+        best_strategy(best, field, self.ordered[lut], out=self._field[0])
         wrap_halo(self.padded)
 
 
@@ -338,8 +328,7 @@ def run_batch(configs: Sequence[RunConfig]) -> list[RunResult]:
     """``[run(c) for c in configs]``, byte for byte, with the runs stepped together.
 
     For two or more configs that differ only in ``seed``, under imitate-best and
-    a none, pop or neb scheme whose cost the paid count gives exactly
-    (``interference.counts_exactly``); a ValueError names any other batch. Each
+    a none, pop or neb scheme; a ValueError names any other batch. Each
     replicate's initial grid is ``run``'s. The live replicates are the layers of
     one wrap-padded ``_Stack``. Each generation derives the stack's codes, looks
     each replicate's keys up in its half of one stacked key table, and takes
@@ -354,7 +343,7 @@ def run_batch(configs: Sequence[RunConfig]) -> list[RunResult]:
     ):
         raise ValueError(
             "run_batch takes two or more configs that differ only in seed, under the "
-            "deterministic rule and none, pop or neb with an exactly counted cost"
+            "deterministic rule and none, pop or neb"
         )
     scheme, z = first.scheme, first.side_length**2
     protocols = [_Protocol(config) for config in configs]

@@ -89,6 +89,31 @@ def _key_table(table: bytes) -> np.ndarray:
                              for code, score in enumerate(scores)], dtype=np.uint8))
 
 
+def needs_tie_order(scores: np.ndarray) -> bool:
+    """Whether imitate-best on the ten scores by code ``scores`` (``score_table``
+    plus a flat surplus) needs the self, N, E, S, W tie order: whether some
+    defector code 1..4 scores exactly as some cooperator code 5..9. Cached by
+    the bytes of ``scores``.
+
+    If not, the candidates with a cell's largest score all play one strategy,
+    so the largest of their keys (``key_table``) carries the strategy that the
+    tie order would pick, and plain maxima suffice (``grid.best_strategy``).
+    Code 0, a defector with no cooperating neighbour, is exempt: it cannot share
+    the largest score with a cooperator. If it is self, every candidate is a
+    defector. If it is a neighbour, self is a defector next to it; a cooperator
+    candidate is then self's neighbour, so self has k >= 1 and scores
+    k * (b - P) > 0 more than code 0. This holds for every table of the flat
+    schemes: they never pay a defector, so defector code k scores k*b + (4-k)*P.
+    """
+    return _needs_tie_order(np.asarray(scores, dtype=np.float64).tobytes())
+
+
+@lru_cache(maxsize=256)
+def _needs_tie_order(table: bytes) -> bool:
+    scores = np.frombuffer(table).tolist()
+    return not set(scores[1:5]).isdisjoint(scores[5:])
+
+
 def acceptance_table(scores: np.ndarray, k: float) -> np.ndarray:
     """Probability that a cell switches strategy by copying its chosen neighbour, by
     their codes (5..9 are cooperators), for the ten scores by code ``scores``

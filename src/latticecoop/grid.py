@@ -222,11 +222,41 @@ def first_max(best: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     a rank step outweighs bonus plus strategy and equal ranks go by bonus, so
     the low bit of the result is the strategy of the first candidate with the
     largest rank. The bonuses are added Horner-style, 2 before each maximum.
+    Imitate-best runs it only where a tie at the largest rank can mix the
+    strategies (``best_strategy``); ``interference`` runs it for each cell's
+    best neighbour.
     """
     for key in rest:
         best += 2
         np.maximum(best, key, out=best)
     return best
+
+
+def best_strategy(
+    own: np.ndarray, field, ordered: bool, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Imitate-best on uint8 keys ``rank << 4 | strategy`` (``game.key_table``):
+    per cell the strategy of the first of ``own`` and its (N, E, S, W) ``field``
+    with the largest rank, written into ``out`` (default ``own``).
+
+    With ``ordered`` (``game.needs_tie_order``) the tie order decides, through
+    ``first_max``. Without it the candidates at the largest rank play one
+    strategy, so the largest key carries it: ``out`` takes the maximum of
+    ``own`` and N, then of E, S and W in place, with no copy and no bonus adds.
+    """
+    if out is None:
+        out = own
+    if ordered:
+        if out is not own:
+            np.copyto(out, own)
+        first_max(out, *field)
+    else:
+        north, *rest = field
+        np.maximum(own, north, out=out)
+        for key in rest:
+            np.maximum(out, key, out=out)
+    out &= 1
+    return out
 
 
 def coop_count(g: Grid) -> int:

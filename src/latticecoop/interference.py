@@ -207,17 +207,25 @@ def flat_investment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``apply`` of a flat scheme (none, pop, neb) to each lattice of a stack,
     from its (R, L, L) codes and (R,) cooperator counts: per lattice whether it
-    invests (pays ``flat_surplus(scheme)``; else nothing) and its cost
-    ``float(paid) * theta``, which is ``apply``'s wherever ``counts_exactly(theta, Z)``."""
+    invests (pays ``flat_surplus(scheme)``; else nothing) and its cost, as
+    ``InvestmentOutcome.flat`` gives it. That is ``float(paid) * theta`` where
+    ``counts_exactly(theta, Z)``; else the surplus by code summed over the
+    lattice's contiguous codes, and 0.0 for a lattice that does not invest."""
     if isinstance(scheme, NoInterference):
         return np.zeros(x_c.shape, dtype=bool), np.zeros(x_c.shape)
-    if isinstance(scheme, Pop):
-        invests = x_c <= _pop_threshold(scheme, code[0].size)
-        return invests, np.where(invests, x_c, 0) * scheme.theta
-    paid = x_c
-    if scheme.n_c < 4:  # less the cooperators of code 5 + k > 5 + n_c, counted per lattice
+    z = code[0].size
+    pop = isinstance(scheme, Pop)
+    invests = x_c <= _pop_threshold(scheme, z) if pop else np.ones(x_c.shape, dtype=bool)
+    if not counts_exactly(scheme.theta, z):
+        table = flat_surplus(scheme)
+        return invests, np.array([
+            float(by_code(np.ascontiguousarray(layer), table).sum()) if paying else 0.0
+            for layer, paying in zip(code, invests.tolist())
+        ])
+    paid = np.where(invests, x_c, 0) if pop else x_c
+    if not pop and scheme.n_c < 4:  # less the cooperators of code 5 + k > 5 + n_c, per lattice
         paid = paid - [np.count_nonzero(layer) for layer in code > 5 + scheme.n_c]
-    return np.ones(x_c.shape, dtype=bool), paid * scheme.theta
+    return invests, paid * scheme.theta
 
 
 # A cell's best neighbour under neb_i/neb_ii is the first of its N, E, S, W

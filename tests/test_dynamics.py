@@ -29,9 +29,18 @@ from latticecoop.game import (
     by_code,
     compute_scores,
     key_table,
+    needs_tie_order,
     score_table,
 )
-from latticecoop.grid import Grid, Strategy, coop_count
+from latticecoop.grid import (
+    Grid,
+    Strategy,
+    best_strategy,
+    cell_codes,
+    coop_count,
+    first_max,
+    neighbour_field,
+)
 from latticecoop.interference import NebI, NebII, Pop, apply
 
 from conftest import (
@@ -204,22 +213,97 @@ def test_step_deterministic_results_own_read_only_cells(g, b, theta, n_c):
         _assert_owns_fresh_cells(step_deterministic(g, scores), g, scores)
 
 
-@settings(max_examples=60, deadline=None)
+# Score tables for the tie-order predicate: flat payments on every P and on
+# temptations beyond TIE_BS, among them thetas that tie a paid cooperator with
+# a defector at some b (k + theta = k' * b + (4 - k') * P); theta 0 gives the
+# unpaid table. Equal tables are kept once.
+PLAIN_BS = (*TIE_BS, 1.05, 1.2, 1.25, 1.75)
+PLAIN_PS = (0.0, 0.1, 0.25)
+PLAIN_THETAS = (*TIE_THETAS, 0.0, 1.2, 1.25, 1.8, 2.5, 3.0)
+TIE_TABLES = list({
+    table.tobytes(): table
+    for b, p, theta, n_c in itertools.product(PLAIN_BS, PLAIN_PS, PLAIN_THETAS, range(5))
+    for table in [paid_score_table(PayoffParams(b=b, punishment=p), theta, n_c)]
+}.values())
+# One table per key table: the keys alone decide imitate-best, and equal
+# scores are equal ranks, so the keys decide the predicate as well.
+KEYED_TABLES = list({key_table(table).tobytes(): table for table in TIE_TABLES}.values())
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     grids() | homogeneous_grids(),
-    st.sampled_from(TIE_BS),
-    st.sampled_from([0.0, *TIE_THETAS]) | st.floats(0.0, 6.0),
+    st.sampled_from(PLAIN_BS),
+    st.sampled_from(PLAIN_PS),
+    st.sampled_from(PLAIN_THETAS) | st.floats(0.0, 6.0),
     st.integers(0, 4),
 )
-def test_step_deterministic_on_key_table_matches_bruteforce(g, b, theta, n_c):
+def test_step_deterministic_on_key_table_matches_bruteforce(g, b, p, theta, n_c):
     # looking each cell's key up by code must give the grid of the oracle on
-    # the scores those codes stand for, and a grid of its own
-    table = paid_score_table(PayoffParams(b=b), theta, n_c)
+    # the scores those codes stand for, and a grid of its own, on the plain
+    # path and on the tie order's
+    table = paid_score_table(PayoffParams(b=b, punishment=p), theta, n_c)
     scores = by_code(g.code, table)
     got = step_deterministic(g, table)
     assert got == step_deterministic_bruteforce(g, scores)
     _assert_owns_fresh_cells(got, g, key_table(table))
     assert step(g, table, Deterministic(), None) == got
+
+
+def _lattice_stack(side, cells):
+    """The lattices of ``cells`` (n, side, side) with their codes."""
+    cells = np.asarray(cells, dtype=np.uint8).reshape(-1, side, side)
+    return cells, cell_codes(cells, neighbour_field(cells))
+
+
+# Every 3x3 lattice, and 400 random lattices at each side 4..8.
+LATTICES = [_lattice_stack(3, [[(i >> bit) & 1 for bit in range(9)] for i in range(512)])] + [
+    _lattice_stack(side, np.random.default_rng(side).integers(0, 2, (400, side, side)))
+    for side in range(4, 9)
+]
+
+
+def test_needs_tie_order_is_a_defector_code_tied_with_a_cooperator_code():
+    assert 200 < sum(map(needs_tie_order, TIE_TABLES)) < len(TIE_TABLES) - 200
+    for table in TIE_TABLES:
+        mixed = any(table[d] == table[c] for d in range(1, 5) for c in range(5, 10))
+        assert needs_tie_order(table) is mixed
+        assert needs_tie_order(list(table)) is mixed  # cached by bytes, of any array-like
+    # code 0 is exempt: at b=1.8 its score 0 is an unpaid cooperator's with k=0
+    assert not needs_tie_order(score_table(PayoffParams(b=1.8)))
+    assert needs_tie_order(score_table(PayoffParams(b=1.5)))  # 2 * 1.5 == 3
+
+
+def test_imitate_best_skips_the_tie_order_only_where_it_agrees():
+    # Wherever the predicate lets imitate-best skip the tie order, plain maxima
+    # must give first_max's cells on every lattice; elsewhere the tie order runs.
+    # One stack per side, so a table costs one call per side.
+    for table in KEYED_TABLES:
+        table_keys, ordered = key_table(table), needs_tie_order(table)
+        for cells, codes in LATTICES:
+            keys = table_keys.take(codes)
+            expected = first_max(keys.copy(), *neighbour_field(keys)) & 1
+            assert np.array_equal(dynamics.imitate_best(keys.copy(), ordered), expected), (
+                table, ordered, cells.shape)
+            out = np.empty_like(keys)  # the stack's form: keys in, cells out
+            assert best_strategy(keys, neighbour_field(keys), ordered, out=out) is out
+            assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("b, theta, n_c, ordered", [
+    (1.8, 3.0, 3, False),  # a shipped table: no tie
+    (1.8, 0.0, 4, False),  # unpaid: code 0 ties code 5 alone
+    (1.8, 1.8, 0, True),  # paid code 5 ties code 1
+    (1.5, 0.0, 4, True),  # 2 * 1.5 == 3: code 2 ties code 8
+    (2.0, 1.0, 4, True),  # paid codes 6 and 8 tie codes 1 and 2
+])
+def test_imitate_best_matches_bruteforce_on_every_3x3_lattice(b, theta, n_c, ordered):
+    table = paid_score_table(PayoffParams(b=b), theta, n_c)
+    assert needs_tie_order(table) is ordered
+    cells, codes = LATTICES[0]
+    for g in map(Grid, cells):
+        assert step_deterministic(g, table) == step_deterministic_bruteforce(
+            g, by_code(g.code, table)), g.cells
 
 
 def test_step_deterministic_rejects_bad_inputs():

@@ -56,6 +56,9 @@ PAY = PayoffParams(b=1.8)
 # At b=1.5 and b=2.0 an invested cooperator's score k + theta equals a
 # defector's k'*b for theta in TIE_THETAS; b=1.8 is the reference.
 TIE_BS = (1.5, 1.8, 2.0)
+# TIE_THETAS, whose cost a paid count gives exactly, and thetas whose cost
+# is the per-cell surplus summed (interference.counts_exactly)
+BATCH_THETAS = (*TIE_THETAS, 0.1, 0.3, 5.3)
 
 
 def config(**kw):
@@ -299,8 +302,8 @@ def _exact(result):
     side_length=st.integers(3, 8),
     scheme=st.one_of(
         st.just(NoInterference()),
-        st.builds(Pop, p_c=st.floats(0.0, 1.0), theta=st.sampled_from(TIE_THETAS)),
-        st.builds(Neb, n_c=st.integers(0, 4), theta=st.sampled_from(TIE_THETAS)),
+        st.builds(Pop, p_c=st.floats(0.0, 1.0), theta=st.sampled_from(BATCH_THETAS)),
+        st.builds(Neb, n_c=st.integers(0, 4), theta=st.sampled_from(BATCH_THETAS)),
     ),
     b=st.sampled_from(TIE_BS),
     p=st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
@@ -314,6 +317,11 @@ def _exact(result):
 # an all-C grid that steps on pays nothing, though neb(4) would pay every cooperator
 @example(side_length=4, scheme=Neb(n_c=4, theta=1.0), b=1.8, p=1.0, exact_fraction=False,
          early_stop=False, generations=3, measure_window=1, seed=0, replicates=2)
+# neb3_deterministic.yaml's theta, and an inexact pop theta: each cost is summed per cell
+@example(side_length=7, scheme=Neb(n_c=3, theta=5.3), b=1.8, p=0.5, exact_fraction=False,
+         early_stop=False, generations=6, measure_window=2, seed=3, replicates=3)
+@example(side_length=8, scheme=Pop(p_c=0.6, theta=0.1), b=1.5, p=0.5, exact_fraction=False,
+         early_stop=False, generations=6, measure_window=2, seed=3, replicates=3)
 def test_run_batch_equals_the_runs_one_by_one(
     side_length, scheme, b, p, exact_fraction, early_stop, generations, measure_window, seed,
     replicates,
@@ -352,7 +360,6 @@ def test_run_batch_takes_only_seed_replicates_it_can_step():
         [cfg],
         replicate_configs(replace(cfg, rule=Fermi(K=0.3)), 2),
         replicate_configs(replace(cfg, scheme=NebI(eps=0.5)), 2),
-        replicate_configs(replace(cfg, scheme=Neb(n_c=3, theta=5.3)), 2),  # cost summed per cell
         [cfg, replace(cfg, seed=8, payoff=PayoffParams(b=1.5))],
     ):
         with pytest.raises(ValueError, match="differ only in seed"):
@@ -430,6 +437,31 @@ def test_stack_steps_each_layer_as_the_bruteforce_step(
                  for g, paid in zip(grids, invests)]
         for layer, g in enumerate(grids):
             assert np.array_equal(stack.cells[layer], g.cells), (generation, layer)
+
+
+@pytest.mark.parametrize("paying", ["all", "none", "some"])
+@pytest.mark.parametrize("b, theta, n_c, ordered", [
+    (1.8, 3.0, 3, (False, False)),  # neither half ties a defector with a cooperator
+    (1.8, 1.8, 0, (True, True)),  # the paid half does: code 5 ties code 1
+    (1.5, 0.25, 4, (True, False)),  # the unpaid half does: code 2 ties code 8
+])
+def test_stack_takes_the_tie_order_where_its_table_needs_it(paying, b, theta, n_c, ordered):
+    # The stacked table (mixed or none paying) needs the tie order if either
+    # half does, the paid half alone (all paying) if it does. Each path steps
+    # every layer as the oracle does.
+    payoff, rng = PayoffParams(b=b), np.random.default_rng(0)
+    for side_length in (3, 4, 5, 8):
+        grids = [random_grid(side_length, p, rng) for p in (0.2, 0.5, 0.5, 0.8)]
+        stack = _Stack(np.stack([g.cells for g in grids]), payoff, Neb(n_c=n_c, theta=theta))
+        assert tuple(stack.ordered) == ordered
+        for generation in range(3):
+            invests = {"all": np.ones(4, dtype=bool), "none": np.zeros(4, dtype=bool),
+                       "some": np.arange(4) % 2 == generation % 2}[paying]
+            stack.codes()
+            stack.step(invests)
+            grids = [_paid_step_bruteforce(g, payoff, theta if paid else 0.0, n_c)
+                     for g, paid in zip(grids, invests)]
+            assert np.array_equal(stack.cells, [g.cells for g in grids]), (side_length, generation)
 
 
 def test_run_batch_holds_its_buffers_and_cycle_states_only():
