@@ -43,7 +43,7 @@ from .interference import (
     NoInterference,
     Pop,
     apply,
-    flat_investment,
+    flat_payment,
     flat_surplus,
 )
 
@@ -271,10 +271,11 @@ class _Stack:
     computes at halo positions is garbage, which the next ``wrap_halo``
     overwrites. Keys come from the codes by one ``bytearray.translate``
     through a 256-byte table: the stacked key table by code for a lattice that
-    invests nothing (``none``, an unfired pop or a homogeneous grid) and by
-    code + 10 for one that pays ``scheme``'s surplus, or its paid half by code
-    when all pay. The update skips the tie order unless the table in use needs
-    it (``game.needs_tie_order``): the stacked table does if either half does.
+    is not paid (``none``, an unfired pop or a homogeneous grid) and by code +
+    10 for one that ``interference.flat_payment`` pays ``flat_surplus(scheme)``,
+    or its paid half by code when all are paid. The update skips the tie order
+    unless the table in use needs it (``game.needs_tie_order``): the stacked
+    table does if either half does.
     """
 
     def __init__(self, cells: np.ndarray, payoff: PayoffParams, scheme: InterferenceScheme):
@@ -302,14 +303,14 @@ class _Stack:
         cell_codes(cells, field, out=self._code_span)
         return self.code[:, 1:-1, 1:-1]
 
-    def step(self, invests: np.ndarray) -> None:
+    def step(self, invests: list[bool]) -> None:
         """Imitate-best from ``codes``: per cell the strategy of the first of self,
         N, E, S, W with the largest rank (``grid.best_strategy``, written straight
-        into the cell buffer), each lattice in ``invests`` paid the surplus."""
+        into the cell buffer), each lattice that ``invests`` marks paid the surplus."""
         wrap_halo(self.code)
-        lut = int(invests.all())  # the paid half alone, or the stacked table
-        if not lut and invests.any():
-            self.code += (invests.view(np.uint8) * np.uint8(10))[:, None, None]
+        lut = int(all(invests))  # the paid half alone, or the stacked table
+        if not lut and any(invests):
+            self.code += (np.array(invests, dtype=np.uint8) * np.uint8(10))[:, None, None]
         keys = np.frombuffer(self._code_bytes.translate(self.luts[lut]), np.uint8)
         best, *field = _span(keys, self.padded.shape[-1])
         best_strategy(best, field, self.ordered[lut], out=self._field[0])
@@ -332,8 +333,10 @@ def run_batch(configs: Sequence[RunConfig]) -> list[RunResult]:
     replicate's initial grid is ``run``'s. The live replicates are the layers of
     one wrap-padded ``_Stack``. Each generation derives the stack's codes, looks
     each replicate's keys up in its half of one stacked key table, and takes
-    the first maximum over self and the four neighbours. The cycle check,
-    homogeneous stop, cost and records are each replicate's own
+    the first maximum over self and the four neighbours. Whether a layer is
+    paid, and its cost, come from ``interference.flat_payment`` on its codes,
+    the rule ``apply`` uses for one lattice; a homogeneous layer steps as none.
+    The cycle check, homogeneous stop and records are each replicate's own
     (``_Protocol``); their states are one ``np.packbits`` of the stack, sliced
     per layer. A replicate that finishes leaves the stack.
     """
@@ -370,14 +373,13 @@ def run_batch(configs: Sequence[RunConfig]) -> list[RunResult]:
         if len(going) < len(live):
             stack.load(stack.cells[going])
             live = [live[i] for i in going]
-        x_c = np.array(counts)
-        invests, costs = flat_investment(scheme, stack.codes(), x_c)
-        homogeneous = (x_c == 0) | (x_c == z)  # steps as none, as in step_generation
-        invests &= ~homogeneous
-        costs[homogeneous] = 0.0
-        stack.step(invests)
-        for r, count, cost in zip(live, counts, costs.tolist()):
+        invests = []
+        for r, code, count in zip(live, stack.codes(), counts):
+            # a homogeneous lattice steps as none, as in step_generation
+            paid, cost = flat_payment(scheme, code, count) if 0 < count < z else (False, 0.0)
+            invests.append(paid)
             protocols[r].record(count, cost)
+        stack.step(invests)
 
 
 def derive_seed(seed: int, *indices: int) -> int:

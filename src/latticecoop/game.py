@@ -153,11 +153,14 @@ def _pair_table(table: bytes, dtype: np.dtype) -> np.ndarray:
 
 
 def by_code(code: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``table.take(code)``, two cells per lookup through a uint16 view when Z is even.
+    """``table.take(code)``, two cells per lookup through a uint16 view when Z is
+    even and at least 512 * len(table).
 
-    A ``take`` costs per index, not per byte, so pairs halve its time.
+    A ``take`` costs per index, not per byte, so pairs halve its time. Their
+    table is built from 256 * len(table) entries and saves Z / 2 indices per
+    lookup, so a smaller lattice cannot repay one that is not yet cached.
     """
-    if code.size % 2:
+    if code.size % 2 or code.size < 512 * len(table):
         return table.take(code)
     pairs = _pair_table(table.tobytes(), table.dtype).take(code.reshape(-1).view(np.uint16))
     return pairs.view(table.dtype).reshape(code.shape)

@@ -124,9 +124,10 @@ class InvestmentOutcome:
     ``surplus`` is read-only float64 in one of the two forms the update rules
     take scores in. Flat schemes (none, pop, neb) pay one amount to chosen
     cooperators by their code, so theirs is the ten surpluses by code
-    ``5 * strategy + k`` (``_flat_table``); neb_i and neb_ii pay per cell, so
-    theirs is shaped like the grid. ``generation_cost`` equals the per-cell
-    surplus summed, bit for bit.
+    ``5 * strategy + k`` (``flat_surplus``, or none's where ``flat_payment``
+    says the lattice is not paid); neb_i and neb_ii pay per cell, so theirs
+    is shaped like the grid. ``generation_cost`` equals the per-cell surplus
+    summed, bit for bit.
     """
 
     generation_cost: float
@@ -136,23 +137,6 @@ class InvestmentOutcome:
     def from_surplus(cls, surplus: np.ndarray) -> "InvestmentOutcome":
         surplus = _frozen(np.ascontiguousarray(surplus, dtype=np.float64))
         return cls(float(surplus.sum()), surplus)
-
-    @classmethod
-    def flat(cls, g: Grid, theta: float, n_c: int = 4) -> "InvestmentOutcome":
-        """``theta`` to each cooperator with k <= n_c, nothing to the rest.
-
-        Every partial sum of the per-cell surplus, in any order, is
-        ``j * theta`` for some count j <= Z. Write theta = m * 2**e with m odd:
-        if m * Z < 2**53, each ``j * m`` fits the 53-bit significand, so every
-        partial sum is exact (or, past the largest float, inf) and the sum
-        NumPy computes is ``float(paid) * theta`` rounded once. Any other theta
-        sums the per-cell surplus.
-        """
-        theta = float(theta)
-        table = _flat_table(theta, n_c)
-        if counts_exactly(theta, g.size):
-            return cls(float(_paid_count(g, n_c)) * theta, table)
-        return cls(float(by_code(g.code, table).sum()), table)
 
 
 @lru_cache(maxsize=256)
@@ -164,21 +148,11 @@ def _flat_table(theta: float, n_c: int) -> np.ndarray:
 
 
 def counts_exactly(theta: float, z: int) -> bool:
-    """Whether ``float(paid) * theta`` is a flat surplus of ``theta`` summed over
-    Z cells, bit for bit, for every paid count (``InvestmentOutcome.flat``)."""
-    return theta == 0.0 or _odd_part(theta) * z < 2**53
-
-
-def _odd_part(theta: float) -> int:
-    """The odd integer m with theta = m * 2**e, for theta > 0."""
+    """Whether ``float(paid) * theta`` is a flat surplus of ``theta`` > 0 summed
+    over Z cells, bit for bit, for every paid count (``flat_payment``): whether
+    the odd m with theta = m * 2**e has m * Z < 2**53."""
     numerator = theta.as_integer_ratio()[0]  # odd unless theta is a whole number
-    return numerator // (numerator & -numerator)
-
-
-def _paid_count(g: Grid, n_c: int) -> int:
-    """Number of cooperators with k <= n_c: x_C less those of code 5 + k > 5 + n_c."""
-    x_c = coop_count(g)
-    return x_c if n_c >= 4 else x_c - int(np.count_nonzero(g.code > 5 + n_c))
+    return numerator // (numerator & -numerator) * z < 2**53
 
 
 def _pop_threshold(scheme: Pop, z: int) -> int:
@@ -186,46 +160,52 @@ def _pop_threshold(scheme: Pop, z: int) -> int:
     return math.floor(scheme.p_c * z + _POP_COUNT_EPS)
 
 
-def apply_pop(g: Grid, scheme: Pop) -> InvestmentOutcome:
-    """All-or-nothing: every cooperator gets theta iff x_C <= p_c * Z."""
-    theta = scheme.theta if coop_count(g) <= _pop_threshold(scheme, g.size) else 0.0
-    return InvestmentOutcome.flat(g, theta)
-
-
-def apply_neb(g: Grid, scheme: Neb) -> InvestmentOutcome:
-    """Cooperator i gets theta iff its cooperating-neighbour count is <= n_c."""
-    return InvestmentOutcome.flat(g, scheme.theta, scheme.n_c)
-
-
 def flat_surplus(scheme: InterferenceScheme) -> np.ndarray:
     """The ten surpluses by code that a flat scheme (none, pop, neb) pays when it invests."""
     return _flat_table(getattr(scheme, "theta", 0.0), getattr(scheme, "n_c", 4))
 
 
-def flat_investment(
-    scheme: InterferenceScheme, code: np.ndarray, x_c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``apply`` of a flat scheme (none, pop, neb) to each lattice of a stack,
-    from its (R, L, L) codes and (R,) cooperator counts: per lattice whether it
-    invests (pays ``flat_surplus(scheme)``; else nothing) and its cost, as
-    ``InvestmentOutcome.flat`` gives it. That is ``float(paid) * theta`` where
-    ``counts_exactly(theta, Z)``; else the surplus by code summed over the
-    lattice's contiguous codes, and 0.0 for a lattice that does not invest."""
-    if isinstance(scheme, NoInterference):
-        return np.zeros(x_c.shape, dtype=bool), np.zeros(x_c.shape)
-    z = code[0].size
-    pop = isinstance(scheme, Pop)
-    invests = x_c <= _pop_threshold(scheme, z) if pop else np.ones(x_c.shape, dtype=bool)
-    if not counts_exactly(scheme.theta, z):
-        table = flat_surplus(scheme)
-        return invests, np.array([
-            float(by_code(np.ascontiguousarray(layer), table).sum()) if paying else 0.0
-            for layer, paying in zip(code, invests.tolist())
-        ])
-    paid = np.where(invests, x_c, 0) if pop else x_c
-    if not pop and scheme.n_c < 4:  # less the cooperators of code 5 + k > 5 + n_c, per lattice
-        paid = paid - [np.count_nonzero(layer) for layer in code > 5 + scheme.n_c]
-    return invests, paid * scheme.theta
+def flat_payment(scheme: InterferenceScheme, code: np.ndarray, x_c: int) -> tuple[bool, float]:
+    """Whether a flat scheme (none, pop, neb) pays a lattice of codes ``code``
+    (``Grid.code``) that holds x_C ``x_c`` cooperators this generation, and
+    what that costs.
+
+    A lattice that is paid gets ``flat_surplus(scheme)``: ``theta`` to each
+    cooperator with k <= n_c (every cooperator under pop). A theta of 0.0
+    (none) never pays, and pop pays only while x_C <= p_c * Z. The cost is
+    the per-cell surplus summed, bit for bit. Every partial sum of it, in any
+    order, is ``j * theta`` for some count j <= Z. Write theta = m * 2**e with
+    m odd: if m * Z < 2**53 (``counts_exactly``), each ``j * m`` fits the
+    53-bit significand, so every partial sum is exact (or, past the largest
+    float, inf) and the sum NumPy computes is ``float(paid) * theta`` rounded
+    once. Any other theta sums the surplus looked up per cell.
+    """
+    theta = getattr(scheme, "theta", 0.0)
+    if theta == 0.0 or (isinstance(scheme, Pop) and x_c > _pop_threshold(scheme, code.size)):
+        return False, 0.0
+    if not counts_exactly(theta, code.size):
+        return True, float(by_code(np.ascontiguousarray(code), flat_surplus(scheme)).sum())
+    n_c = getattr(scheme, "n_c", 4)
+    if n_c < 4:  # less the cooperators of code 5 + k > 5 + n_c, compared in a
+        # contiguous copy: a stack's layer is strided, which compares slower
+        x_c -= int(np.count_nonzero(np.ascontiguousarray(code) > 5 + n_c))
+    return True, float(x_c) * theta
+
+
+def _flat_outcome(scheme: InterferenceScheme, g: Grid) -> InvestmentOutcome:
+    """``flat_payment`` on ``g`` with the surplus by code that it pays."""
+    invests, cost = flat_payment(scheme, g.code, coop_count(g))
+    return InvestmentOutcome(cost, flat_surplus(scheme if invests else NoInterference()))
+
+
+def apply_pop(g: Grid, scheme: Pop) -> InvestmentOutcome:
+    """All-or-nothing: every cooperator gets theta iff x_C <= p_c * Z."""
+    return _flat_outcome(scheme, g)
+
+
+def apply_neb(g: Grid, scheme: Neb) -> InvestmentOutcome:
+    """Cooperator i gets theta iff its cooperating-neighbour count is <= n_c."""
+    return _flat_outcome(scheme, g)
 
 
 # A cell's best neighbour under neb_i/neb_ii is the first of its N, E, S, W
@@ -339,7 +319,7 @@ def apply(scheme: InterferenceScheme, g: Grid, payoff: PayoffParams) -> Investme
     base scores it gives each code.
     """
     if isinstance(scheme, NoInterference):
-        return InvestmentOutcome.flat(g, 0.0)
+        return _flat_outcome(scheme, g)
     if isinstance(scheme, Pop):
         return apply_pop(g, scheme)
     if isinstance(scheme, Neb):

@@ -429,8 +429,8 @@ def test_stack_steps_each_layer_as_the_bruteforce_step(
             kept = [i for i in range(layers) if i != dropped]
             stack.load(stack.cells[kept])
             grids = [grids[i] for i in kept]
-        invests = {"all": np.ones(len(grids), dtype=bool), "none": np.zeros(len(grids), dtype=bool),
-                   "some": np.arange(len(grids)) % 2 == generation}[paying]
+        invests = {"all": [True] * len(grids), "none": [False] * len(grids),
+                   "some": [i % 2 == generation for i in range(len(grids))]}[paying]
         assert np.array_equal(stack.codes(), [g.code for g in grids])
         stack.step(invests)
         grids = [_paid_step_bruteforce(g, payoff, theta if paid else 0.0, n_c)
@@ -455,8 +455,8 @@ def test_stack_takes_the_tie_order_where_its_table_needs_it(paying, b, theta, n_
         stack = _Stack(np.stack([g.cells for g in grids]), payoff, Neb(n_c=n_c, theta=theta))
         assert tuple(stack.ordered) == ordered
         for generation in range(3):
-            invests = {"all": np.ones(4, dtype=bool), "none": np.zeros(4, dtype=bool),
-                       "some": np.arange(4) % 2 == generation % 2}[paying]
+            invests = {"all": [True] * 4, "none": [False] * 4,
+                       "some": [i % 2 == generation % 2 for i in range(4)]}[paying]
             stack.codes()
             stack.step(invests)
             grids = [_paid_step_bruteforce(g, payoff, theta if paid else 0.0, n_c)
@@ -467,12 +467,12 @@ def test_stack_takes_the_tie_order_where_its_table_needs_it(paying, b, theta, n_
 def test_run_batch_holds_its_buffers_and_cycle_states_only():
     # At R=5, L=100 over 20 generations the peak measured ~445 KB: about five
     # bytes per padded cell (the stack, its codes, its keys, the contiguous
-    # copy that the states are packed from, neb's paid-count mask) and ~1.5 KB
-    # per replicate and generation (a packed state of Z/8 bytes with its dict
-    # entry, and a GenerationRecord). The bound, 497 KB here, allows six bytes
-    # per padded cell and Z/8 + 512 bytes per state. Stepping that pads a copy
-    # of the stack for the codes and another for the keys peaked at ~508 KB,
-    # and states kept unpacked would add Z bytes each.
+    # copy that the states are packed from, neb's paid-count copy and mask of
+    # one layer) and ~1.5 KB per replicate and generation (a packed state of
+    # Z/8 bytes with its dict entry, and a GenerationRecord). The bound, 497 KB
+    # here, allows six bytes per padded cell and Z/8 + 512 bytes per state.
+    # Stepping that pads a copy of the stack for the codes and another for the
+    # keys peaked at ~508 KB, and states kept unpacked would add Z bytes each.
     replicates, length, generations = 5, 100, 20
     cfg = config(side_length=length, scheme=Neb(n_c=3, theta=3.0), generations=generations,
                  measure_window=1, seed=3)

@@ -13,7 +13,7 @@ from latticecoop.game import (
     logistic,
     score_table,
 )
-from latticecoop.grid import Grid, Strategy
+from latticecoop.grid import Grid, Strategy, random_grid
 
 from conftest import (
     TIE_THETAS,
@@ -193,10 +193,20 @@ def test_key_table_is_sixteen_times_the_dense_rank_plus_strategy(b, punishment):
             assert key_table(np.array(scores)) is keys
 
 
+# Lattices at and above by_code's pair bound, 512 * 10 = 5120 cells for a
+# ten-entry table: L=72 and 100 (even Z) look pairs up, L=73 (odd Z) does not.
+large_grids = st.builds(
+    lambda side, p, seed: random_grid(side, p, np.random.default_rng(seed)),
+    st.sampled_from((72, 73, 100)),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
 @settings(max_examples=40)
-@given(grids(3, 9), st.floats(0.01, 6.0), st.integers(0, 4))
+@given(grids(3, 9) | large_grids, st.floats(0.01, 6.0), st.integers(0, 4))
 def test_cell_ranks_equal_a_plain_take(g, theta, n_c):
-    # pairs of cells are looked up at once when Z is even; odd Z takes one at a time
+    # pairs of cells are looked up at once when Z is even and above the bound; else one at a time
     ranks = _ranks(PayoffParams(b=1.8), theta, n_c)
     got = by_code(g.code, ranks)
     assert got.dtype == np.uint8 and got.shape == g.code.shape
@@ -204,7 +214,7 @@ def test_cell_ranks_equal_a_plain_take(g, theta, n_c):
 
 
 @settings(max_examples=40)
-@given(grids(3, 9), payoffs())
+@given(grids(3, 9) | large_grids, payoffs())
 def test_float_pairs_equal_a_plain_take(g, params):
     # float64 pairs travel as 16-byte items; a take moves their bytes unchanged
     table = score_table(params)

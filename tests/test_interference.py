@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from latticecoop import interference
 from latticecoop.analysis import lone_defector_grid
 from latticecoop.game import PayoffParams, by_code, compute_scores, key_table, score_table
-from latticecoop.grid import Grid, Strategy, coop_count, random_grid
+from latticecoop.grid import Grid, Strategy, check_field_types, coop_count, random_grid
 from latticecoop.interference import (
-    InvestmentOutcome,
     Neb,
     NebI,
     NebII,
@@ -22,6 +21,8 @@ from latticecoop.interference import (
     apply_neb_i,
     apply_neb_ii,
     apply_pop,
+    flat_payment,
+    flat_surplus,
 )
 
 from conftest import (
@@ -359,17 +360,32 @@ def _flat_thetas(z):
     )
 
 
+class _AnyTheta(Neb):
+    """``Neb`` without its range checks, so that theta may be 0.0, which is never paid."""
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
+
+
+def _paid_table(g, n_c, theta):
+    """``flat_payment`` of neb(n_c, theta) on ``g``: (the surplus by code it
+    pays, none's where it pays nothing; its cost)."""
+    scheme = _AnyTheta(n_c, theta)
+    invests, cost = flat_payment(scheme, g.code, coop_count(g))
+    return flat_surplus(scheme if invests else NoInterference()), cost
+
+
 @settings(max_examples=300, deadline=None)
 @given(grids(3, 9), st.integers(0, 4), st.data())
 def test_flat_cost_is_the_surplus_sum_bit_for_bit(g, n_c, data):
     theta = data.draw(_flat_thetas(g.size), label="theta")
-    outcome = InvestmentOutcome.flat(g, theta, n_c)
-    assert outcome.surplus.shape == (10,) and outcome.surplus.dtype == np.float64
-    assert not outcome.surplus.flags.writeable
-    surplus = by_code(g.code, outcome.surplus)
+    table, cost = _paid_table(g, n_c, theta)
+    assert table.shape == (10,) and table.dtype == np.float64
+    assert not table.flags.writeable
+    surplus = by_code(g.code, table)
     expected = flat_surplus_bruteforce(g, Neb(n_c, theta)) if theta else np.zeros(g.cells.shape)
     np.testing.assert_array_equal(surplus, expected)
-    assert np.float64(outcome.generation_cost).tobytes() == surplus.sum().tobytes()
+    assert np.float64(cost).tobytes() == surplus.sum().tobytes()
 
 
 @settings(max_examples=60)
@@ -391,7 +407,7 @@ def test_base_plus_flat_surplus_is_the_paid_score_table_bit_for_bit(b, punishmen
     g = random_grid(6, 0.5, np.random.default_rng(2))
     for theta in (0.1, 0.5, 1.0, 1.5, 2.0):
         for n_c in range(5):
-            got = score_table(params) + InvestmentOutcome.flat(g, theta, n_c).surplus
+            got = score_table(params) + _paid_table(g, n_c, theta)[0]
             expected = paid_score_table(params, theta, n_c)
             assert got.tobytes() == expected.tobytes(), (theta, n_c)
 
@@ -399,7 +415,7 @@ def test_base_plus_flat_surplus_is_the_paid_score_table_bit_for_bit(b, punishmen
 @given(payoffs(), st.integers(0, 4))
 def test_score_table_at_zero_theta_is_the_base_table(params, n_c):
     g = random_grid(6, 0.5, np.random.default_rng(2))
-    got = score_table(params) + InvestmentOutcome.flat(g, 0.0, n_c).surplus
+    got = score_table(params) + _paid_table(g, n_c, 0.0)[0]
     assert got.tobytes() == score_table(params).tobytes()
 
 
