@@ -12,43 +12,25 @@ from .analysis import (
     thresholds,
     verify_thresholds,
 )
-from .dynamics import (
-    Deterministic,
-    Fermi,
-    UpdateRule,
-    step_deterministic,
-    step_fermi,
-)
+from .dynamics import Deterministic, Fermi, UpdateRule
 from .engine import (
     GenerationRecord,
     RunConfig,
     RunResult,
     Termination,
     derive_seed,
-    is_homogeneous,
     run,
     run_replicates,
-    step_generation,
 )
-from .game import PayoffParams, compute_scores
-from .grid import (
-    Grid,
-    Strategy,
-    coop_count,
-    format_snapshot,
-    grid_hash,
-    parse_snapshot,
-    random_grid,
-)
+from .game import PayoffParams
+from .grid import Grid, Strategy, format_snapshot, parse_snapshot, random_grid
 from .interference import (
     InterferenceScheme,
-    InvestmentOutcome,
     Neb,
     NebI,
     NebII,
     NoInterference,
     Pop,
-    apply,
 )
 from .sweep import SweepSpec, run_sweep
 

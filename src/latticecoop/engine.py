@@ -243,9 +243,11 @@ def run(config: RunConfig) -> RunResult:
         g = next_grid
 
 
-# Most cells in one run_many batch (26 replicates at L=100). A stack pays a
-# generation's fixed call cost once, but its gain per replicate stops growing
-# near 10**5 cells (README, Performance), while what it holds at once (its
+# Most cells in one run_many batch (26 replicates at L=100), and the only cut
+# of a replicate stream, whatever the worker count: one stack steps its runs
+# no slower than the same runs split over a 2-worker pool (README, Performance).
+# A stack pays a generation's fixed call cost once, but its gain per replicate
+# stops growing near 10**5 cells, while what it holds at once (its
 # temporaries and every replicate's cycle states) grows with its cells.
 BATCH_CELLS = 2**18
 
@@ -328,7 +330,7 @@ def _span(padded: np.ndarray, width: int) -> list[np.ndarray]:
 def run_batch(configs: Sequence[RunConfig]) -> list[RunResult]:
     """``[run(c) for c in configs]``, byte for byte, with the runs stepped together.
 
-    For two or more configs that differ only in ``seed``, under imitate-best and
+    For one or more configs that differ only in ``seed``, under imitate-best and
     a none, pop or neb scheme; a ValueError names any other batch. Each
     replicate's initial grid is ``run``'s. The live replicates are the layers of
     one wrap-padded ``_Stack``. Each generation derives the stack's codes, looks
@@ -341,11 +343,9 @@ def run_batch(configs: Sequence[RunConfig]) -> list[RunResult]:
     per layer. A replicate that finishes leaves the stack.
     """
     first = configs[0]
-    if len(configs) < 2 or not _batchable(first) or not all(
-        _same_but_seed(first, c) for c in configs
-    ):
+    if not _batchable(first) or not all(_same_but_seed(first, c) for c in configs):
         raise ValueError(
-            "run_batch takes two or more configs that differ only in seed, under the "
+            "run_batch takes configs that differ only in seed, under the "
             "deterministic rule and none, pop or neb"
         )
     scheme, z = first.scheme, first.side_length**2
@@ -400,18 +400,17 @@ def replicate_configs(config: RunConfig, n: int) -> list[RunConfig]:
     return [replace(config, seed=derive_seed(config.seed, i)) for i in range(n)]
 
 
-def _batches(configs: Sequence[RunConfig], workers: int) -> list[tuple[RunConfig, ...]]:
+def _batches(configs: Sequence[RunConfig]) -> list[tuple[RunConfig, ...]]:
     """``configs`` in order, in ``run_many``'s tasks: a run of consecutive configs
-    that ``run_batch`` takes and that differ only in seed is split into batches
-    of at most ceil(len(configs) / workers) runs and ``BATCH_CELLS`` cells;
-    every other config is a batch of its own."""
-    most = math.ceil(len(configs) / max(workers, 1))
+    that ``run_batch`` takes and that differ only in seed is cut into batches of
+    ``BATCH_CELLS`` cells (one run at least), and every other config is a task of
+    its own. The cut does not depend on the worker count."""
     batches: list[list[RunConfig]] = []
     for config in configs:
         batch = batches[-1] if batches else None
         if (
             batch
-            and len(batch) < min(most, BATCH_CELLS // config.side_length**2)
+            and len(batch) < BATCH_CELLS // config.side_length**2
             and _batchable(config)
             and _same_but_seed(batch[0], config)
         ):
@@ -422,19 +421,20 @@ def _batches(configs: Sequence[RunConfig], workers: int) -> list[tuple[RunConfig
 
 
 def _run_task(batch: tuple[RunConfig, ...]) -> list[RunResult]:
-    return run_batch(batch) if len(batch) > 1 else [run(batch[0])]
+    return run_batch(batch) if _batchable(batch[0]) else [run(batch[0])]
 
 
 def run_many(configs: Sequence[RunConfig], workers: int = 1) -> Iterator[RunResult]:
     """Lazily yield each config's RunResult, in input order however the runs are scheduled.
 
-    The configs go in batches (``_batches``): consecutive deterministic
+    The configs go in tasks (``_batches``): consecutive deterministic
     none/pop/neb replicates that differ only in seed step together through
-    ``run_batch``, and every other config runs alone through ``run``. Serial
-    when ``workers <= 1``, else on one process pool with one batch per task, so
-    a worker holds at most one batch's results.
+    ``run_batch``, a lone such config as a stack of one, and every other config
+    runs alone through ``run``. The tasks are the same at any worker count.
+    Serial when ``workers <= 1`` or there is one task, else on one process pool
+    with one task each, so a worker holds at most one task's results.
     """
-    batches = _batches(configs, workers)
+    batches = _batches(configs)
     if workers <= 1 or len(batches) <= 1:
         for batch in batches:
             yield from _run_task(batch)

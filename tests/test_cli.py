@@ -159,6 +159,18 @@ def test_readme_python_example_runs():
     assert [label for label, _ in namespace["table"]] == ["neb3", "neb4"]
 
 
+def test_package_exports_readme_names_and_no_generation_internals():
+    (example,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    used = set(re.findall(r"\blc\.(\w+)", example))
+    assert used and all(hasattr(latticecoop, name) for name in used), used
+    internals = {
+        "step_deterministic", "step_fermi", "step_generation", "is_homogeneous", "compute_scores",
+        "apply", "InvestmentOutcome", "coop_count", "grid_hash",
+    }
+    exported = internals & set(vars(latticecoop))
+    assert not exported, exported
+
+
 def test_config_field_errors():
     with pytest.raises(ConfigError, match="scheme.theta"):
         parse_config_text(

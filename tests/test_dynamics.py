@@ -608,10 +608,11 @@ def test_fermi_steps_in_a_fresh_process_import_no_scipy():
 import sys
 import numpy as np
 import latticecoop as lc
+from latticecoop.engine import step_generation
 g = lc.Grid(np.random.default_rng(0).integers(0, 2, (10, 10), dtype=np.uint8))
 for scheme in (lc.Pop(p_c=0.9, theta=3.0), lc.NebII(eps=0.5)):  # table path, float path
-    lc.step_generation(g, lc.PayoffParams(b=1.8), scheme, lc.Fermi(K=0.3, mu=0.01),
-                       np.random.default_rng(0))
+    step_generation(g, lc.PayoffParams(b=1.8), scheme, lc.Fermi(K=0.3, mu=0.01),
+                    np.random.default_rng(0))
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
     src = Path(__file__).resolve().parents[1] / "src"

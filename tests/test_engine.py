@@ -260,9 +260,13 @@ configs += [
               generations=5, measure_window=3, seed=seed)
     for seed in (4, 5)
 ]
-assert [len(batch) for batch in engine._batches(configs, 2)] == [1, 1, 1, 2]
+assert [len(batch) for batch in engine._batches(configs)] == [1, 1, 1, 2]
 serial = list(run_many(configs, workers=1))
 assert "concurrent.futures.process" not in sys.modules, "a serial batch loaded the pool"
+# ten replicates are one stack at any worker count, and one task runs in this process
+replicates = engine.replicate_configs(configs[-1], 10)
+assert list(run_many(replicates, workers=2)) == list(map(engine.run, replicates))
+assert "concurrent.futures.process" not in sys.modules, "a one-stack stream loaded the pool"
 assert list(run_many(configs, workers=2)) == serial
 assert "concurrent.futures.process" in sys.modules, "a 2-worker batch did not use the pool"
 """
@@ -312,7 +316,7 @@ def _exact(result):
     generations=st.integers(1, 20),
     measure_window=st.integers(1, 6),
     seed=st.integers(0, 2**32),
-    replicates=st.integers(2, 6),
+    replicates=st.integers(1, 6),
 )
 # an all-C grid that steps on pays nothing, though neb(4) would pay every cooperator
 @example(side_length=4, scheme=Neb(n_c=4, theta=1.0), b=1.8, p=1.0, exact_fraction=False,
@@ -322,6 +326,9 @@ def _exact(result):
          early_stop=False, generations=6, measure_window=2, seed=3, replicates=3)
 @example(side_length=8, scheme=Pop(p_c=0.6, theta=0.1), b=1.5, p=0.5, exact_fraction=False,
          early_stop=False, generations=6, measure_window=2, seed=3, replicates=3)
+# a stack of one
+@example(side_length=6, scheme=Pop(p_c=0.5, theta=4.0), b=1.8, p=0.5, exact_fraction=False,
+         early_stop=True, generations=8, measure_window=3, seed=5, replicates=1)
 def test_run_batch_equals_the_runs_one_by_one(
     side_length, scheme, b, p, exact_fraction, early_stop, generations, measure_window, seed,
     replicates,
@@ -357,7 +364,6 @@ def test_run_batch_replicates_end_apart():
 def test_run_batch_takes_only_seed_replicates_it_can_step():
     cfg = config(scheme=Pop(p_c=0.7, theta=2.0), generations=5, measure_window=2)
     for configs in (
-        [cfg],
         replicate_configs(replace(cfg, rule=Fermi(K=0.3)), 2),
         replicate_configs(replace(cfg, scheme=NebI(eps=0.5)), 2),
         [cfg, replace(cfg, seed=8, payoff=PayoffParams(b=1.5))],
@@ -366,12 +372,12 @@ def test_run_batch_takes_only_seed_replicates_it_can_step():
             run_batch(configs)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_run_many_batches_a_mixed_stream_in_order(workers):
     short = dict(side_length=6, generations=6, measure_window=3)
     pop = config(scheme=Pop(p_c=0.7, theta=2.0), **short)
     groups = [
-        replicate_configs(pop, 13),  # a pop cell, longer than ceil(24 / 2)
+        replicate_configs(pop, 13),  # a pop cell, one task at any worker count
         replicate_configs(config(scheme=Neb(n_c=3, theta=1.5), seed=8, **short), 3),
         replicate_configs(config(rule=Fermi(K=0.3), seed=9, **short), 2),
         replicate_configs(config(scheme=NebI(eps=0.5), seed=10, **short), 2),
@@ -380,15 +386,14 @@ def test_run_many_batches_a_mixed_stream_in_order(workers):
         replicate_configs(replace(pop, side_length=7), 2),
     ]
     configs = [c for group in groups for c in group]
-    sizes = {1: [13, 3, 1, 1, 1, 1, 1, 1, 2], 2: [12, 1, 3, 1, 1, 1, 1, 1, 1, 2]}[workers]
-    assert [len(batch) for batch in _batches(configs, workers)] == sizes
+    assert [len(batch) for batch in _batches(configs)] == [13, 3, 1, 1, 1, 1, 1, 1, 2]
     assert [_exact(r) for r in run_many(configs, workers)] == [_exact(r) for r in map(run, configs)]
 
 
 def test_batches_hold_at_most_batch_cells():
     def sizes(side_length):
         cfg = config(side_length=side_length, scheme=Pop(p_c=0.7, theta=2.0))
-        return [len(b) for b in _batches(replicate_configs(cfg, 3), 1)]
+        return [len(b) for b in _batches(replicate_configs(cfg, 3))]
 
     assert BATCH_CELLS // 362**2 == 2 and sizes(362) == [2, 1]
     assert BATCH_CELLS // 513**2 == 0 and sizes(513) == [1, 1, 1]
