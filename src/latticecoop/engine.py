@@ -243,9 +243,10 @@ def run(config: RunConfig) -> RunResult:
         g = next_grid
 
 
-# Most cells in one run_many batch (26 replicates at L=100), and the only cut
-# of a replicate stream, whatever the worker count: one stack steps its runs
-# no slower than the same runs split over a 2-worker pool (README, Performance).
+# Most cells in one run_many batch (26 replicates at L=100). A longer replicate
+# stream is cut into the fewest near-equal stacks under it, whatever the worker
+# count: one stack steps its runs no slower than the same runs split over a
+# 2-worker pool (README, Performance).
 # A stack pays a generation's fixed call cost once, but its gain per replicate
 # stops growing near 10**5 cells, while what it holds at once (its
 # temporaries and every replicate's cycle states) grows with its cells.
@@ -342,6 +343,8 @@ def run_batch(configs: Sequence[RunConfig]) -> list[RunResult]:
     (``_Protocol``); their states are one ``np.packbits`` of the stack, sliced
     per layer. A replicate that finishes leaves the stack.
     """
+    if not configs:
+        return []
     first = configs[0]
     if not _batchable(first) or not all(_same_but_seed(first, c) for c in configs):
         raise ValueError(
@@ -402,22 +405,23 @@ def replicate_configs(config: RunConfig, n: int) -> list[RunConfig]:
 
 def _batches(configs: Sequence[RunConfig]) -> list[tuple[RunConfig, ...]]:
     """``configs`` in order, in ``run_many``'s tasks: a run of consecutive configs
-    that ``run_batch`` takes and that differ only in seed is cut into batches of
-    ``BATCH_CELLS`` cells (one run at least), and every other config is a task of
-    its own. The cut does not depend on the worker count."""
-    batches: list[list[RunConfig]] = []
+    that ``run_batch`` takes and that differ only in seed is cut into the fewest
+    batches of at most ``BATCH_CELLS`` cells (one run at least), whose sizes differ
+    by one at most, larger first; every other config is a task of its own. The cut
+    does not depend on the worker count."""
+    groups: list[list[RunConfig]] = []
     for config in configs:
-        batch = batches[-1] if batches else None
-        if (
-            batch
-            and len(batch) < BATCH_CELLS // config.side_length**2
-            and _batchable(config)
-            and _same_but_seed(batch[0], config)
-        ):
-            batch.append(config)
+        if groups and _batchable(config) and _same_but_seed(groups[-1][0], config):
+            groups[-1].append(config)
         else:
-            batches.append([config])
-    return [tuple(batch) for batch in batches]
+            groups.append([config])
+    batches = []
+    for group in groups:
+        count = -(-len(group) // max(1, BATCH_CELLS // group[0].side_length**2))
+        size, extra = divmod(len(group), count)
+        bounds = [i * size + min(i, extra) for i in range(count + 1)]
+        batches += [tuple(group[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return batches
 
 
 def _run_task(batch: tuple[RunConfig, ...]) -> list[RunResult]:

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -169,6 +171,29 @@ def test_package_exports_readme_names_and_no_generation_internals():
     }
     exported = internals & set(vars(latticecoop))
     assert not exported, exported
+
+
+def test_readme_lists_the_package_exports():
+    (section,) = re.findall(r"^## Python API\n(.*?)^## ", README.read_text(encoding="utf-8"),
+                            re.M | re.S)
+    listed = set(re.findall(r"`(\w+)`", section))
+    exported = {name for name, value in vars(latticecoop).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert listed == exported, (listed - exported, exported - listed)
+
+
+def test_readme_module_references_resolve():
+    modules = "grid|game|interference|dynamics|engine|analysis|sweep|config|cli"
+    refs = re.findall(rf"`({modules})((?:\.\w+)+)", README.read_text(encoding="utf-8"))
+    assert refs
+    for module, path in refs:
+        names = path.split(".")[1:]
+        if names[0] in ("yaml", "csv"):  # a file name: `config.yaml`, `sweep.csv`
+            continue
+        target = importlib.import_module(f"latticecoop.{module}")
+        for name in names:
+            assert hasattr(target, name), f"README names {module}{path}"
+            target = getattr(target, name)
 
 
 def test_config_field_errors():

@@ -370,6 +370,7 @@ def test_run_batch_takes_only_seed_replicates_it_can_step():
     ):
         with pytest.raises(ValueError, match="differ only in seed"):
             run_batch(configs)
+    assert run_batch([]) == []
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -391,12 +392,15 @@ def test_run_many_batches_a_mixed_stream_in_order(workers):
 
 
 def test_batches_hold_at_most_batch_cells():
-    def sizes(side_length):
+    def sizes(side_length, n=3):
         cfg = config(side_length=side_length, scheme=Pop(p_c=0.7, theta=2.0))
-        return [len(b) for b in _batches(replicate_configs(cfg, 3))]
+        return [len(b) for b in _batches(replicate_configs(cfg, n))]
 
     assert BATCH_CELLS // 362**2 == 2 and sizes(362) == [2, 1]
     assert BATCH_CELLS // 513**2 == 0 and sizes(513) == [1, 1, 1]
+    # past one stack, the fewest stacks of near-equal size, larger first
+    assert BATCH_CELLS // 100**2 == 26 and sizes(100, 26) == [26]
+    assert [sizes(100, n) for n in (27, 30, 53)] == [[14, 13], [15, 15], [18, 18, 17]]
 
 
 def _paid_step_bruteforce(g, payoff, theta, n_c):
